@@ -20,7 +20,6 @@ from typing import Any, Sequence
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Column, IndexSchema, TableSchema, ViewSchema
 from repro.datatypes.types import type_from_name
-from repro.datatypes.values import coerce_for_storage
 from repro.errors import (
     BinderError,
     ExecutionError,
@@ -411,66 +410,80 @@ class Connection:
             plan = self.optimizer.optimize(plan)
             source_rows = execute_plan(plan, ctx)
         else:
-            source_rows = []
-            for value_row in statement.values:
-                bound = bind_value_row(value_row, self.binder)
-                evaluators = [compile_expression(b) for b in bound]
-                source_rows.append(tuple(e((), ctx) for e in evaluators))
-
-        rows = [self._reorder_insert_row(schema, statement.columns, r) for r in source_rows]
-        # Coerce to storage types *before* the append so the AFTER
-        # triggers see the stored rows, exactly like DELETE and UPDATE
-        # do.  Raw literals (e.g. an ISO date string headed for a DATE
+            # A literal cell is its own value; only the other cells are
+            # bound and compiled.
+            literal = ast.Literal
+            source_rows = [
+                [
+                    cell.value if type(cell) is literal else self._value_cell(cell, ctx)
+                    for cell in value_row
+                ]
+                for value_row in statement.values
+            ]
+        rows = self._reorder_insert_rows(schema, statement.columns, source_rows)
+        # Whole-statement columnar ingestion: one batch append with a
+        # single sorted index pass, instead of per-row insert calls.  The
+        # table coerces to storage types and hands the stored rows back,
+        # so the AFTER triggers see exactly what DELETE and UPDATE would
+        # report.  Raw literals (e.g. an ISO date string headed for a DATE
         # column) must never leak into the capture path: the IVM states
         # address entries by memcomparable bytes, where a string and the
         # date it spells encode differently — mixed spellings corrupt
         # retraction cancellation and extrema ordering.
-        rows = [
-            tuple(
-                coerce_for_storage(value, column.type)
-                for value, column in zip(row, schema.columns)
-            )
-            for row in rows
-        ]
-        # Whole-statement columnar ingestion: one batch append with a
-        # single sorted index pass, instead of per-row insert calls.
+        stored: list[tuple] = []
         if statement.or_replace:
             # Report the stored-row delta, not the raw input: replaced
             # old rows retract (DELETE) and only the deduped survivors
             # insert, so delta captures never double-count a replace.
             replaced: list[tuple] = []
-            survivors: list[tuple] = []
-            table.upsert_batch(
-                rows, replaced_out=replaced, survivors_out=survivors
-            )
+            table.upsert_batch(rows, replaced_out=replaced, survivors_out=stored)
             self.triggers.fire(self, "DELETE", schema.name, replaced)
-            self.triggers.fire(self, "INSERT", schema.name, survivors)
         else:
-            table.insert_batch(rows, coerce=False)
-            self.triggers.fire(self, "INSERT", schema.name, rows)
+            table.insert_batch(rows, stored_out=stored)
+        self.triggers.fire(self, "INSERT", schema.name, stored)
         return Result(statement_type="INSERT", rowcount=len(rows))
 
+    def _value_cell(self, cell: ast.Expression, ctx: ExecutionContext) -> Any:
+        """Evaluate one non-literal VALUES cell: a signed numeric literal
+        directly, anything else through bind and compile."""
+        if (
+            type(cell) is ast.UnaryOp
+            and cell.op in ("-", "+")
+            and type(cell.operand) is ast.Literal
+            and type(cell.operand.value) in (int, float)
+        ):
+            value = cell.operand.value
+            return -value if cell.op == "-" else value
+        (bound,) = bind_value_row([cell], self.binder)
+        return compile_expression(bound)((), ctx)
+
     @staticmethod
-    def _reorder_insert_row(
-        schema: TableSchema, columns: list[str], row: tuple
-    ) -> tuple:
+    def _reorder_insert_rows(
+        schema: TableSchema, columns: list[str], rows: list
+    ) -> list:
+        """Rows in table-column order.  The column list is resolved once
+        per statement; columns it leaves out receive NULL.  Without a
+        column list the rows pass through (the table checks their arity)."""
         if not columns:
-            if len(row) != len(schema.columns):
-                raise ExecutionError(
-                    f"INSERT into {schema.name!r} expects "
-                    f"{len(schema.columns)} values, got {len(row)}"
+            return rows
+        slots: list[int | None] = [None] * len(schema.columns)
+        for position, name in enumerate(columns):
+            ordinal = schema.column_index(name)
+            if slots[ordinal] is not None:
+                raise BinderError(
+                    f"column {name!r} appears more than once in the INSERT "
+                    f"column list"
                 )
-            return tuple(row)
-        if len(columns) != len(row):
-            raise ExecutionError(
-                f"INSERT column list has {len(columns)} names but "
-                f"{len(row)} values"
-            )
-        by_name = {name.lower(): value for name, value in zip(columns, row)}
-        full = []
-        for column in schema.columns:
-            full.append(by_name.get(column.name.lower()))
-        return tuple(full)
+            slots[ordinal] = position
+        for row in rows:
+            if len(row) != len(columns):
+                raise ExecutionError(
+                    f"INSERT column list has {len(columns)} names but "
+                    f"{len(row)} values"
+                )
+        return [
+            [None if slot is None else row[slot] for slot in slots] for row in rows
+        ]
 
     def _execute_delete(
         self, statement: ast.Delete, parameters: Sequence[Any]

@@ -1,10 +1,9 @@
-"""SQL frontend: lexer, AST, recursive-descent parser, dialect rules."""
+"""SQL frontend: regex lexer, AST, Pratt/recursive-descent parser, dialect rules."""
 
-from repro.sql.lexer import Lexer, Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import Parser, parse_one, parse_script
 
 __all__ = [
-    "Lexer",
     "Parser",
     "Token",
     "TokenType",

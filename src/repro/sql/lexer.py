@@ -1,16 +1,20 @@
-"""Hand-written SQL lexer.
+"""Regex-driven SQL lexer.
 
-Produces a flat token stream for the recursive-descent parser.  Keywords are
-recognized case-insensitively but the original text is preserved on the
-token so error messages quote the user's spelling.  Comments (``--`` and
-``/* */``) are skipped.  Identifiers may be double-quoted; strings use
-single quotes with ``''`` escaping, as in standard SQL.
+One compiled master pattern, one alternative per token kind, produces the
+flat token stream the parser consumes; the cost per token is a single
+regex match plus one tuple.  Keywords are recognized case-insensitively:
+``Token.text`` keeps the user's spelling (error messages quote it) and
+``Token.upper`` carries the upper-cased word, computed once here instead
+of on every parser check.  Comments (``--`` and ``/* */``) are skipped.
+Identifiers may be double-quoted; strings use single quotes with ``''``
+escaping, as in standard SQL.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParserError
 
@@ -44,184 +48,95 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_TWO_CHAR_OPERATORS = ("<>", "!=", "<=", ">=", "||", "::")
-_ONE_CHAR_OPERATORS = "+-*/%<>=!"
 
+class Token(NamedTuple):
+    """One lexical token with its source position (for error reporting).
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (for error reporting)."""
+    ``upper`` is the upper-cased text of a word (keyword or bare
+    identifier) and the text itself for every other kind.
+    """
 
     type: TokenType
     text: str
     position: int
     line: int
-
-    @property
-    def upper(self) -> str:
-        return self.text.upper()
+    upper: str
 
     def matches(self, keyword: str) -> bool:
         return self.type is TokenType.KEYWORD and self.upper == keyword
 
 
-class Lexer:
-    """Single-pass lexer over a SQL string."""
-
-    def __init__(self, sql: str) -> None:
-        self._sql = sql
-        self._pos = 0
-        self._line = 1
-
-    def tokens(self) -> list[Token]:
-        result: list[Token] = []
-        while True:
-            token = self._next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    def _error(self, message: str) -> ParserError:
-        return ParserError(message, position=self._pos, line=self._line)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._sql):
-            return self._sql[index]
-        return ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        sql = self._sql
-        while self._pos < len(sql):
-            ch = sql[self._pos]
-            if ch == "\n":
-                self._line += 1
-                self._pos += 1
-            elif ch.isspace():
-                self._pos += 1
-            elif ch == "-" and self._peek(1) == "-":
-                end = sql.find("\n", self._pos)
-                self._pos = len(sql) if end == -1 else end
-            elif ch == "/" and self._peek(1) == "*":
-                end = sql.find("*/", self._pos + 2)
-                if end == -1:
-                    raise self._error("unterminated block comment")
-                self._line += sql.count("\n", self._pos, end)
-                self._pos = end + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        start, line = self._pos, self._line
-        if self._pos >= len(self._sql):
-            return Token(TokenType.EOF, "", start, line)
-        ch = self._sql[self._pos]
-        if ch == "(":
-            self._pos += 1
-            return Token(TokenType.LPAREN, "(", start, line)
-        if ch == ")":
-            self._pos += 1
-            return Token(TokenType.RPAREN, ")", start, line)
-        if ch == ",":
-            self._pos += 1
-            return Token(TokenType.COMMA, ",", start, line)
-        if ch == ";":
-            self._pos += 1
-            return Token(TokenType.SEMICOLON, ";", start, line)
-        if ch == "?":
-            self._pos += 1
-            return Token(TokenType.PARAMETER, "?", start, line)
-        if ch == "'":
-            return self._lex_string(start, line)
-        if ch == '"':
-            return self._lex_quoted_identifier(start, line)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(start, line)
-        if ch == ".":
-            self._pos += 1
-            return Token(TokenType.DOT, ".", start, line)
-        for op in _TWO_CHAR_OPERATORS:
-            if self._sql.startswith(op, self._pos):
-                self._pos += 2
-                return Token(TokenType.OPERATOR, op, start, line)
-        if ch in _ONE_CHAR_OPERATORS:
-            self._pos += 1
-            return Token(TokenType.OPERATOR, ch, start, line)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(start, line)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_string(self, start: int, line: int) -> Token:
-        sql = self._sql
-        self._pos += 1
-        pieces: list[str] = []
-        while True:
-            if self._pos >= len(sql):
-                raise self._error("unterminated string literal")
-            ch = sql[self._pos]
-            if ch == "'":
-                if self._peek(1) == "'":
-                    pieces.append("'")
-                    self._pos += 2
-                    continue
-                self._pos += 1
-                return Token(TokenType.STRING, "".join(pieces), start, line)
-            if ch == "\n":
-                self._line += 1
-            pieces.append(ch)
-            self._pos += 1
-
-    def _lex_quoted_identifier(self, start: int, line: int) -> Token:
-        sql = self._sql
-        self._pos += 1
-        pieces: list[str] = []
-        while True:
-            if self._pos >= len(sql):
-                raise self._error("unterminated quoted identifier")
-            ch = sql[self._pos]
-            if ch == '"':
-                if self._peek(1) == '"':
-                    pieces.append('"')
-                    self._pos += 2
-                    continue
-                self._pos += 1
-                return Token(TokenType.IDENT, "".join(pieces), start, line)
-            pieces.append(ch)
-            self._pos += 1
-
-    def _lex_number(self, start: int, line: int) -> Token:
-        sql = self._sql
-        seen_dot = False
-        seen_exp = False
-        while self._pos < len(sql):
-            ch = sql[self._pos]
-            if ch.isdigit():
-                self._pos += 1
-            elif ch == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                self._pos += 1
-            elif ch in "eE" and not seen_exp and self._pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    seen_exp = True
-                    self._pos += 2 if nxt in "+-" else 1
-                else:
-                    break
-            else:
-                break
-        return Token(TokenType.NUMBER, sql[start:self._pos], start, line)
-
-    def _lex_word(self, start: int, line: int) -> Token:
-        sql = self._sql
-        while self._pos < len(sql) and (sql[self._pos].isalnum() or sql[self._pos] == "_"):
-            self._pos += 1
-        text = sql[start:self._pos]
-        if text.upper() in KEYWORDS:
-            return Token(TokenType.KEYWORD, text, start, line)
-        return Token(TokenType.IDENT, text, start, line)
+# Alternatives are tried in order, commonest first where order is free:
+# a number must come before the lone dot (``.5``) and comments before the
+# ``-`` and ``/`` operators.  ERROR comes last and swallows one
+# character, so the matches tile the input with no gaps.
+_MASTER = re.compile(
+    r"""
+      (?P<PUNCTUATION>[(),;?])
+    | (?P<WORD>[^\W\d]\w*)
+    | (?P<SKIP>\s+|--[^\n]*|/\*.*?\*/)
+    | (?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<STRING>'[^']*(?:''[^']*)*')
+    | (?P<OPERATOR><>|!=|<=|>=|\|\||::|[-+*%<>=!]|/(?!\*))
+    | (?P<QUOTED>"[^"]*(?:""[^"]*)*")
+    | (?P<DOT>\.)
+    | (?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_PUNCTUATION = {
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    ",": TokenType.COMMA,
+    ";": TokenType.SEMICOLON,
+    "?": TokenType.PARAMETER,
+}
+# Groups whose token is the matched text as-is.
+_VERBATIM = {
+    "NUMBER": TokenType.NUMBER,
+    "OPERATOR": TokenType.OPERATOR,
+    "DOT": TokenType.DOT,
+}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "/": "unterminated block comment",  # only ``/*``: OPERATOR takes other ``/``
+}
+_new = tuple.__new__  # Token(...) without the generated __new__ frame
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` into a list ending with an EOF token."""
-    return Lexer(sql).tokens()
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    for match in _MASTER.finditer(sql):
+        group = match.lastgroup
+        start, end = match.span()
+        text = sql[start:end]
+        if group == "PUNCTUATION":
+            append(_new(Token, (_PUNCTUATION[text], text, start, line, text)))
+        elif group == "WORD":
+            upper = text.upper()
+            kind = TokenType.KEYWORD if upper in KEYWORDS else TokenType.IDENT
+            append(_new(Token, (kind, text, start, line, upper)))
+        elif group == "SKIP":
+            line += text.count("\n")
+        elif group in _VERBATIM:
+            append(_new(Token, (_VERBATIM[group], text, start, line, text)))
+        elif group == "ERROR":
+            message = _UNTERMINATED.get(text, f"unexpected character {text!r}")
+            if text in ("'", '"'):  # the literal ran to the end of the input
+                start, line = len(sql), line + sql.count("\n", start)
+            raise ParserError(message, position=start, line=line)
+        else:  # STRING or QUOTED: strip the quotes, fold the doubled escape
+            quote = text[0]
+            body = text[1:-1]
+            if quote in body:
+                body = body.replace(quote + quote, quote)
+            kind = TokenType.STRING if quote == "'" else TokenType.IDENT
+            append(_new(Token, (kind, body, start, line, body)))
+            if "\n" in text:
+                line += text.count("\n")
+    append(Token(TokenType.EOF, "", len(sql), line, ""))
+    return tokens

@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser.
+"""SQL parser: recursive descent for statements, Pratt for expressions.
 
 Covers the SQL surface that the OpenIVM compiler consumes (view
 definitions) and emits (propagation scripts): SELECT with CTEs, joins of
@@ -18,19 +18,58 @@ from repro.errors import ParserError
 from repro.sql import ast
 from repro.sql.lexer import Token, TokenType, tokenize
 
-_COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
-_ADDITIVE_OPS = {"+", "-", "||"}
-_MULTIPLICATIVE_OPS = {"*", "/", "%"}
-_JOIN_TYPES = {"INNER", "LEFT", "RIGHT", "FULL", "CROSS"}
-_SET_OPS = {"UNION", "EXCEPT", "INTERSECT"}
+_IDENT = TokenType.IDENT
+_KEYWORD = TokenType.KEYWORD
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_OPERATOR = TokenType.OPERATOR
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+
+# Binding powers, loosest first: one number per level of the expression
+# grammar.  NOT is a prefix operator, the PREDICATE level holds the
+# postfix/mixfix forms (IS [NOT] NULL, [NOT] IN / BETWEEN / LIKE), UNARY
+# is the prefix sign and POSTFIX the ``::`` cast.
+OR, AND, NOT, PREDICATE, COMPARISON, ADDITIVE, MULTIPLICATIVE, UNARY, POSTFIX = range(
+    1, 10
+)
+# Binary operators by AST spelling; the renderer parenthesizes from the
+# same table.  All are left-associative except the comparisons, which do
+# not chain (``a = b = c`` is a syntax error).
+BINARY_POWER = {
+    "OR": OR, "AND": AND,
+    "=": COMPARISON, "<>": COMPARISON, "<": COMPARISON,
+    "<=": COMPARISON, ">": COMPARISON, ">=": COMPARISON,
+    "+": ADDITIVE, "-": ADDITIVE, "||": ADDITIVE,
+    "*": MULTIPLICATIVE, "/": MULTIPLICATIVE, "%": MULTIPLICATIVE,
+}
+# Every token that can continue an expression, keyed by ``Token.upper``.
+_INFIX = {
+    **BINARY_POWER,
+    "!=": COMPARISON,
+    "IS": PREDICATE, "NOT": PREDICATE, "IN": PREDICATE,
+    "BETWEEN": PREDICATE, "LIKE": PREDICATE,
+    "::": POSTFIX,
+}
+_NEGATABLE = ("IN", "BETWEEN", "LIKE")
+_KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
+# Keywords that may still name a column, and those that may also name a
+# function or column inside an expression.
+_IDENTIFIER_KEYWORDS = ("KEY", "INDEX", "VIEW")
+_EXPRESSION_KEYWORDS = _IDENTIFIER_KEYWORDS + ("LEFT", "RIGHT", "REPLACE", "VALUES")
+_SET_OPS = ("UNION", "EXCEPT", "INTERSECT")
 
 
 class Parser:
     """Parses one token stream; one instance per statement batch."""
 
     def __init__(self, sql: str, allow_materialized: bool = False) -> None:
-        self._sql = sql
         self._tokens = tokenize(sql)
+        # EOF sentinels: the deepest lookahead is two tokens, and
+        # ``_advance`` never steps past the first EOF.
+        self._tokens += self._tokens[-1:] * 2
         self._index = 0
         self._parameter_count = 0
         self._allow_materialized = allow_materialized
@@ -38,8 +77,7 @@ class Parser:
     # -- token helpers ------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._index + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -48,38 +86,41 @@ class Parser:
         return token
 
     def _check_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.KEYWORD and token.upper in keywords
+        token = self._tokens[self._index]
+        return token.type is _KEYWORD and token.upper in keywords
 
     def _match_keyword(self, *keywords: str) -> bool:
-        if self._check_keyword(*keywords):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.type is _KEYWORD and token.upper in keywords:
+            self._index += 1
             return True
         return False
 
     def _expect_keyword(self, keyword: str) -> Token:
-        token = self._peek()
-        if not token.matches(keyword):
+        token = self._tokens[self._index]
+        if token.type is not _KEYWORD or token.upper != keyword:
             raise self._error(f"expected {keyword}, found {token.text!r}")
-        return self._advance()
+        self._index += 1
+        return token
 
     def _match(self, token_type: TokenType, text: str | None = None) -> bool:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.type is not token_type:
             return False
         if text is not None and token.text != text:
             return False
-        self._advance()
+        self._index += 1
         return True
 
     def _expect(self, token_type: TokenType, description: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.type is not token_type:
             raise self._error(f"expected {description}, found {token.text!r}")
-        return self._advance()
+        self._index += 1
+        return token
 
     def _error(self, message: str) -> ParserError:
-        token = self._peek()
+        token = self._tokens[self._index]
         return ParserError(
             f"parse error at line {token.line}: {message}",
             position=token.position,
@@ -87,14 +128,44 @@ class Parser:
         )
 
     def _identifier(self, description: str = "identifier") -> str:
-        token = self._peek()
-        if token.type is TokenType.IDENT:
-            return self._advance().text
-        # Allow a few non-reserved keywords as identifiers (e.g. a column
-        # named "key" or "values" would be unkind to reject).
-        if token.type is TokenType.KEYWORD and token.upper in ("KEY", "INDEX", "VIEW"):
-            return self._advance().text
+        token = self._tokens[self._index]
+        # A few non-reserved keywords are allowed as identifiers (a column
+        # named "key" or "index" would be unkind to reject).
+        if token.type is _IDENT or (
+            token.type is _KEYWORD and token.upper in _IDENTIFIER_KEYWORDS
+        ):
+            self._index += 1
+            return token.text
         raise self._error(f"expected {description}, found {token.text!r}")
+
+    def _integer(self, description: str) -> int:
+        token = self._tokens[self._index]
+        if token.type is not _NUMBER or not token.text.isdecimal():
+            raise self._error(f"expected integer {description}, found {token.text!r}")
+        self._index += 1
+        return int(token.text)
+
+    def _list_of(self, parse_item) -> list:
+        """``item (, item)*``."""
+        items = [parse_item()]
+        tokens = self._tokens
+        while tokens[self._index].type is _COMMA:
+            self._index += 1
+            items.append(parse_item())
+        return items
+
+    def _identifier_list(self, description: str = "column name") -> list[str]:
+        """``( name (, name)* )``."""
+        self._expect(_LPAREN, "(")
+        names = self._list_of(lambda: self._identifier(description))
+        self._expect(_RPAREN, ")")
+        return names
+
+    def _parenthesized_select(self) -> ast.Select:
+        self._expect(_LPAREN, "(")
+        query = self._parse_select()
+        self._expect(_RPAREN, ")")
+        return query
 
     # -- entry points ---------------------------------------------------
 
@@ -112,50 +183,17 @@ class Parser:
 
     def _parse_statement(self) -> ast.Statement:
         token = self._peek()
-        if token.matches("SELECT") or token.matches("WITH"):
-            return self._parse_select()
-        if token.matches("CREATE"):
-            return self._parse_create()
-        if token.matches("DROP"):
-            return self._parse_drop()
-        if token.matches("INSERT"):
-            return self._parse_insert()
-        if token.matches("DELETE"):
-            return self._parse_delete()
-        if token.matches("UPDATE"):
-            return self._parse_update()
-        if token.matches("PRAGMA"):
-            return self._parse_pragma()
-        if token.matches("ATTACH"):
-            return self._parse_attach()
-        if token.matches("REFRESH"):
-            return self._parse_refresh()
-        if token.matches("TRUNCATE"):
-            self._advance()
-            self._match_keyword("TABLE")
-            return ast.Delete(table=self._identifier("table name"), where=None)
-        if token.matches("EXPLAIN"):
-            self._advance()
-            return ast.Explain(query=self._parse_select())
-        if token.matches("BEGIN"):
-            self._advance()
-            return ast.Transaction("BEGIN")
-        if token.matches("COMMIT"):
-            self._advance()
-            return ast.Transaction("COMMIT")
-        if token.matches("ROLLBACK"):
-            self._advance()
-            return ast.Transaction("ROLLBACK")
-        raise self._error(f"unexpected token {token.text!r}")
+        parse = _STATEMENTS.get(token.upper) if token.type is _KEYWORD else None
+        if parse is None:
+            raise self._error(f"unexpected token {token.text!r}")
+        return parse(self)
 
     # -- SELECT -----------------------------------------------------------
 
     def _parse_select(self) -> ast.Select:
         ctes: list[ast.CommonTableExpr] = []
         if self._match_keyword("WITH"):
-            ctes.append(self._parse_cte())
-            while self._match(TokenType.COMMA):
-                ctes.append(self._parse_cte())
+            ctes = self._list_of(self._parse_cte)
         select = self._parse_select_body()
         select.ctes = ctes
         while self._check_keyword(*_SET_OPS):
@@ -170,31 +208,23 @@ class Parser:
     def _parse_cte(self) -> ast.CommonTableExpr:
         name = self._identifier("CTE name")
         columns: list[str] = []
-        if self._match(TokenType.LPAREN):
-            columns.append(self._identifier("column name"))
-            while self._match(TokenType.COMMA):
-                columns.append(self._identifier("column name"))
-            self._expect(TokenType.RPAREN, ")")
+        if self._peek().type is _LPAREN:
+            columns = self._identifier_list()
         self._expect_keyword("AS")
-        self._expect(TokenType.LPAREN, "(")
-        query = self._parse_select()
-        self._expect(TokenType.RPAREN, ")")
-        return ast.CommonTableExpr(name=name, query=query, columns=columns)
+        return ast.CommonTableExpr(
+            name=name, query=self._parenthesized_select(), columns=columns
+        )
 
     def _parse_select_body(self) -> ast.Select:
-        if self._match(TokenType.LPAREN):
-            inner = self._parse_select()
-            self._expect(TokenType.RPAREN, ")")
-            return inner
+        if self._peek().type is _LPAREN:
+            return self._parenthesized_select()
         self._expect_keyword("SELECT")
         distinct = False
         if self._match_keyword("DISTINCT"):
             distinct = True
         elif self._match_keyword("ALL"):
             pass
-        items = [self._parse_select_item()]
-        while self._match(TokenType.COMMA):
-            items.append(self._parse_select_item())
+        items = self._list_of(self._parse_select_item)
         from_clause = None
         if self._match_keyword("FROM"):
             from_clause = self._parse_from()
@@ -202,9 +232,7 @@ class Parser:
         group_by: list[ast.Expression] = []
         if self._match_keyword("GROUP"):
             self._expect_keyword("BY")
-            group_by.append(self._parse_expression())
-            while self._match(TokenType.COMMA):
-                group_by.append(self._parse_expression())
+            group_by = self._list_of(self._parse_expression)
         having = self._parse_expression() if self._match_keyword("HAVING") else None
         return ast.Select(
             items=items,
@@ -218,9 +246,7 @@ class Parser:
     def _parse_order_limit(self, select: ast.Select) -> None:
         if self._match_keyword("ORDER"):
             self._expect_keyword("BY")
-            select.order_by.append(self._parse_order_item())
-            while self._match(TokenType.COMMA):
-                select.order_by.append(self._parse_order_item())
+            select.order_by.extend(self._list_of(self._parse_order_item))
         if self._match_keyword("LIMIT"):
             select.limit = self._parse_expression()
         if self._match_keyword("OFFSET"):
@@ -237,26 +263,25 @@ class Parser:
 
     def _parse_select_item(self) -> ast.SelectItem:
         token = self._peek()
-        if token.type is TokenType.OPERATOR and token.text == "*":
+        if token.type is _OPERATOR and token.text == "*":
             self._advance()
             return ast.SelectItem(expr=ast.Star())
         if (
-            token.type is TokenType.IDENT
-            and self._peek(1).type is TokenType.DOT
-            and self._peek(2).type is TokenType.OPERATOR
+            token.type is _IDENT
+            and self._peek(1).type is _DOT
+            and self._peek(2).type is _OPERATOR
             and self._peek(2).text == "*"
         ):
-            table = self._advance().text
-            self._advance()
-            self._advance()
-            return ast.SelectItem(expr=ast.Star(table=table))
-        expr = self._parse_expression()
-        alias = None
+            self._index += 3
+            return ast.SelectItem(expr=ast.Star(table=token.text))
+        return ast.SelectItem(expr=self._parse_expression(), alias=self._parse_alias())
+
+    def _parse_alias(self) -> str | None:
         if self._match_keyword("AS"):
-            alias = self._identifier("alias")
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._advance().text
-        return ast.SelectItem(expr=expr, alias=alias)
+            return self._identifier("alias")
+        if self._peek().type is _IDENT:
+            return self._advance().text
+        return None
 
     # -- FROM / joins ------------------------------------------------------
 
@@ -280,11 +305,7 @@ class Parser:
                 if self._match_keyword("ON"):
                     condition = self._parse_expression()
                 elif self._match_keyword("USING"):
-                    self._expect(TokenType.LPAREN, "(")
-                    using.append(self._identifier("column name"))
-                    while self._match(TokenType.COMMA):
-                        using.append(self._identifier("column name"))
-                    self._expect(TokenType.RPAREN, ")")
+                    using = self._identifier_list()
                 left = ast.JoinRef(
                     left=left,
                     right=right,
@@ -293,221 +314,173 @@ class Parser:
                     using=using,
                 )
                 continue
-            if self._match(TokenType.COMMA):
+            if self._match(_COMMA):
                 right = self._parse_table_ref()
                 left = ast.JoinRef(left=left, right=right, join_type="CROSS")
                 continue
             return left
 
     def _parse_table_ref(self) -> ast.TableRef:
-        if self._match(TokenType.LPAREN):
-            query = self._parse_select()
-            self._expect(TokenType.RPAREN, ")")
+        if self._peek().type is _LPAREN:
+            query = self._parenthesized_select()
             self._match_keyword("AS")
             alias = self._identifier("subquery alias")
             return ast.SubqueryRef(query=query, alias=alias)
         name = self._identifier("table name")
         schema = None
-        if self._match(TokenType.DOT):
+        if self._match(_DOT):
             schema = name
             name = self._identifier("table name")
-        alias = None
-        if self._match_keyword("AS"):
-            alias = self._identifier("alias")
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._advance().text
-        return ast.BaseTableRef(name=name, alias=alias, schema=schema)
+        return ast.BaseTableRef(name=name, alias=self._parse_alias(), schema=schema)
 
     # -- expressions -------------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expression:
-        return self._parse_or()
+    def _parse_expression(self, min_power: int = 0) -> ast.Expression:
+        """Pratt loop: parse an operand, then fold in every operator whose
+        binding power lies in ``[min_power, ceiling]``.
 
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
-        while self._match_keyword("OR"):
-            right = self._parse_and()
-            left = ast.BinaryOp(op="OR", left=left, right=right)
-        return left
-
-    def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
-        while self._match_keyword("AND"):
-            right = self._parse_not()
-            left = ast.BinaryOp(op="AND", left=left, right=right)
-        return left
-
-    def _parse_not(self) -> ast.Expression:
-        if self._match_keyword("NOT"):
-            return ast.UnaryOp(op="NOT", operand=self._parse_not())
-        return self._parse_predicate()
-
-    def _parse_predicate(self) -> ast.Expression:
-        left = self._parse_comparison()
-        while True:
-            if self._match_keyword("IS"):
-                negated = bool(self._match_keyword("NOT"))
-                self._expect_keyword("NULL")
-                left = ast.IsNull(operand=left, negated=negated)
-                continue
-            negated = False
-            if self._check_keyword("NOT") and self._peek(1).upper in ("IN", "BETWEEN", "LIKE"):
-                self._advance()
-                negated = True
-            if self._match_keyword("IN"):
-                self._expect(TokenType.LPAREN, "(")
-                if self._check_keyword("SELECT", "WITH"):
-                    query = self._parse_select()
-                    self._expect(TokenType.RPAREN, ")")
-                    sub = ast.ScalarSubquery(query=query)
-                    left = ast.InList(operand=left, items=[sub], negated=negated)
-                else:
-                    items = [self._parse_expression()]
-                    while self._match(TokenType.COMMA):
-                        items.append(self._parse_expression())
-                    self._expect(TokenType.RPAREN, ")")
-                    left = ast.InList(operand=left, items=items, negated=negated)
-                continue
-            if self._match_keyword("BETWEEN"):
-                low = self._parse_comparison()
-                self._expect_keyword("AND")
-                high = self._parse_comparison()
-                left = ast.Between(operand=left, low=low, high=high, negated=negated)
-                continue
-            if self._match_keyword("LIKE"):
-                pattern = self._parse_comparison()
-                left = ast.Like(operand=left, pattern=pattern, negated=negated)
-                continue
-            return left
-
-    def _parse_comparison(self) -> ast.Expression:
-        left = self._parse_additive()
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.text in _COMPARISON_OPS:
-            op = self._advance().text
-            if op == "!=":
-                op = "<>"
-            right = self._parse_additive()
-            return ast.BinaryOp(op=op, left=left, right=right)
-        return left
-
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.text in _ADDITIVE_OPS:
-                op = self._advance().text
-                right = self._parse_multiplicative()
-                left = ast.BinaryOp(op=op, left=left, right=right)
-            else:
-                return left
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.text in _MULTIPLICATIVE_OPS:
-                op = self._advance().text
-                right = self._parse_unary()
-                left = ast.BinaryOp(op=op, left=left, right=right)
-            else:
-                return left
-
-    def _parse_unary(self) -> ast.Expression:
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.text in ("-", "+"):
-            op = self._advance().text
-            return ast.UnaryOp(op=op, operand=self._parse_unary())
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expression:
-        expr = self._parse_primary()
-        while self._match(TokenType.OPERATOR, "::"):
-            type_name = self._identifier("type name")
-            width = None
-            if self._match(TokenType.LPAREN):
-                width = int(self._expect(TokenType.NUMBER, "width").text)
-                self._expect(TokenType.RPAREN, ")")
-            expr = ast.Cast(operand=expr, type_name=type_name, width=width)
-        return expr
-
-    def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
+        ``ceiling`` starts open and drops to the level of each operator
+        consumed, so that an operand is never re-entered by a tighter
+        operator after a looser one closed it: ``a IS NULL = b`` and
+        ``a = b = c`` stay syntax errors.
+        """
+        tokens = self._tokens
+        token = tokens[self._index]
+        kind = token.type
+        ceiling = POSTFIX
+        # The two commonest operands are read here, not in _parse_operand:
+        # a literal VALUES cell costs one call.
+        if kind is _NUMBER:
+            self._index += 1
             text = token.text
             if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.text)
-        if token.type is TokenType.PARAMETER:
-            self._advance()
+                left: ast.Expression = ast.Literal(float(text))
+            else:
+                left = ast.Literal(int(text))
+        elif kind is _STRING:
+            self._index += 1
+            left = ast.Literal(token.text)
+        elif kind is _KEYWORD and token.upper == "NOT" and min_power <= NOT:
+            self._index += 1
+            left = ast.UnaryOp("NOT", self._parse_expression(NOT))
+            ceiling = AND
+        else:
+            left = self._parse_operand()
+        while True:
+            token = tokens[self._index]
+            if token.type is not _OPERATOR and token.type is not _KEYWORD:
+                return left
+            op = token.upper
+            power = _INFIX.get(op, -1)
+            if not min_power <= power <= ceiling:
+                return left
+            negated = op == "NOT"
+            if negated:
+                # Infix NOT only as part of NOT IN / BETWEEN / LIKE.
+                token = tokens[self._index + 1]
+                op = token.upper
+                if token.type is not _KEYWORD or op not in _NEGATABLE:
+                    return left
+                self._index += 1
+            self._index += 1
+            if power == PREDICATE:
+                left = self._parse_predicate(left, op, negated)
+                ceiling = PREDICATE
+            elif power == POSTFIX:
+                left = ast.Cast(left, *self._parse_type())
+            else:
+                right = self._parse_expression(power + 1)
+                left = ast.BinaryOp("<>" if op == "!=" else op, left, right)
+                ceiling = power - 1 if power == COMPARISON else power
+
+    def _parse_predicate(
+        self, left: ast.Expression, op: str, negated: bool
+    ) -> ast.Expression:
+        """The tail of ``left IS [NOT] NULL`` / ``[NOT] IN`` / ``BETWEEN``
+        / ``LIKE``; right-hand operands bind at the comparison level."""
+        if op == "IS":
+            negated = self._match_keyword("NOT")
+            self._expect_keyword("NULL")
+            return ast.IsNull(left, negated)
+        if op == "IN":
+            self._expect(_LPAREN, "(")
+            if self._check_keyword("SELECT", "WITH"):
+                items = [ast.ScalarSubquery(query=self._parse_select())]
+            else:
+                items = self._list_of(self._parse_expression)
+            self._expect(_RPAREN, ")")
+            return ast.InList(left, items, negated)
+        if op == "BETWEEN":
+            low = self._parse_expression(COMPARISON)
+            self._expect_keyword("AND")
+            high = self._parse_expression(COMPARISON)
+            return ast.Between(left, low, high, negated)
+        return ast.Like(left, self._parse_expression(COMPARISON), negated)
+
+    def _parse_type(self) -> tuple[str, int | None]:
+        """``name [(width [, scale])]``; a DECIMAL scale is parsed and
+        dropped (the type maps to DOUBLE anyway)."""
+        name = self._identifier("type name")
+        width = None
+        if self._match(_LPAREN):
+            width = self._integer("width")
+            if self._match(_COMMA):
+                self._integer("scale")
+            self._expect(_RPAREN, ")")
+        return name, width
+
+    def _parse_operand(self) -> ast.Expression:
+        """Every operand but a number or a string (see _parse_expression)."""
+        token = self._tokens[self._index]
+        kind = token.type
+        if kind is _OPERATOR and token.text in ("-", "+"):
+            self._index += 1
+            return ast.UnaryOp(token.text, self._parse_expression(UNARY))
+        if kind is TokenType.PARAMETER:
+            self._index += 1
             self._parameter_count += 1
             return ast.Parameter(index=self._parameter_count - 1)
-        if token.matches("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches("FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.matches("NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches("CASE"):
-            return self._parse_case()
-        if token.matches("CAST"):
-            return self._parse_cast()
-        if token.matches("EXISTS"):
-            self._advance()
-            self._expect(TokenType.LPAREN, "(")
-            query = self._parse_select()
-            self._expect(TokenType.RPAREN, ")")
-            return ast.Exists(query=query)
-        if token.matches("NOT") and self._peek(1).matches("EXISTS"):
-            self._advance()
-            self._advance()
-            self._expect(TokenType.LPAREN, "(")
-            query = self._parse_select()
-            self._expect(TokenType.RPAREN, ")")
-            return ast.Exists(query=query, negated=True)
-        if token.type is TokenType.LPAREN:
-            self._advance()
-            if self._check_keyword("SELECT", "WITH"):
-                query = self._parse_select()
-                self._expect(TokenType.RPAREN, ")")
-                return ast.ScalarSubquery(query=query)
+        if kind is _LPAREN:
+            if self._peek(1).matches("SELECT") or self._peek(1).matches("WITH"):
+                return ast.ScalarSubquery(query=self._parenthesized_select())
+            self._index += 1
             expr = self._parse_expression()
-            self._expect(TokenType.RPAREN, ")")
+            self._expect(_RPAREN, ")")
             return expr
-        if token.type is TokenType.IDENT or token.type is TokenType.KEYWORD:
+        if kind is _IDENT:
             return self._parse_identifier_expression()
-        raise self._error(f"unexpected token {token.text!r} in expression")
+        if kind is not _KEYWORD:
+            raise self._error(f"unexpected token {token.text!r} in expression")
+        keyword = token.upper
+        if keyword in _KEYWORD_LITERALS:
+            self._index += 1
+            return ast.Literal(_KEYWORD_LITERALS[keyword])
+        if keyword == "CASE":
+            return self._parse_case()
+        if keyword == "CAST":
+            return self._parse_cast()
+        if keyword == "EXISTS" or (keyword == "NOT" and self._peek(1).matches("EXISTS")):
+            self._index += 1 if keyword == "EXISTS" else 2
+            return ast.Exists(
+                query=self._parenthesized_select(), negated=keyword == "NOT"
+            )
+        if keyword in _EXPRESSION_KEYWORDS:
+            return self._parse_identifier_expression()
+        raise self._error(f"unexpected keyword {token.text!r} in expression")
 
     def _parse_identifier_expression(self) -> ast.Expression:
-        token = self._peek()
-        if token.type is TokenType.KEYWORD and token.upper not in ("LEFT", "RIGHT", "REPLACE", "KEY", "INDEX", "VIEW", "VALUES"):
-            raise self._error(f"unexpected keyword {token.text!r} in expression")
         name = self._advance().text
-        if self._peek().type is TokenType.LPAREN:
-            self._advance()
-            distinct = bool(self._match_keyword("DISTINCT"))
+        if self._match(_LPAREN):
+            distinct = self._match_keyword("DISTINCT")
             args: list[ast.Expression] = []
-            star = self._peek()
-            if star.type is TokenType.OPERATOR and star.text == "*":
-                self._advance()
+            if self._match(_OPERATOR, "*"):
                 args.append(ast.Star())
-            elif self._peek().type is not TokenType.RPAREN:
-                args.append(self._parse_expression())
-                while self._match(TokenType.COMMA):
-                    args.append(self._parse_expression())
-            self._expect(TokenType.RPAREN, ")")
+            elif self._peek().type is not _RPAREN:
+                args = self._list_of(self._parse_expression)
+            self._expect(_RPAREN, ")")
             return ast.FunctionCall(name=name, args=args, distinct=distinct)
-        if self._peek().type is TokenType.DOT:
-            self._advance()
-            column = self._identifier("column name")
-            return ast.ColumnRef(name=column, table=name)
+        if self._match(_DOT):
+            return ast.ColumnRef(name=self._identifier("column name"), table=name)
         return ast.ColumnRef(name=name)
 
     def _parse_case(self) -> ast.Expression:
@@ -531,22 +504,18 @@ class Parser:
 
     def _parse_cast(self) -> ast.Expression:
         self._expect_keyword("CAST")
-        self._expect(TokenType.LPAREN, "(")
+        self._expect(_LPAREN, "(")
         operand = self._parse_expression()
         self._expect_keyword("AS")
-        type_name = self._identifier("type name")
-        width = None
-        if self._match(TokenType.LPAREN):
-            width = int(self._expect(TokenType.NUMBER, "width").text)
-            self._expect(TokenType.RPAREN, ")")
-        self._expect(TokenType.RPAREN, ")")
+        type_name, width = self._parse_type()
+        self._expect(_RPAREN, ")")
         return ast.Cast(operand=operand, type_name=type_name, width=width)
 
     # -- CREATE / DROP -----------------------------------------------------
 
     def _parse_create(self) -> ast.Statement:
         self._expect_keyword("CREATE")
-        unique = bool(self._match_keyword("UNIQUE"))
+        unique = self._match_keyword("UNIQUE")
         if self._match_keyword("TABLE"):
             return self._parse_create_table()
         if self._match_keyword("INDEX"):
@@ -563,42 +532,35 @@ class Parser:
             return self._parse_create_view(materialized=True)
         raise self._error("expected TABLE, INDEX or VIEW after CREATE")
 
-    def _parse_if_not_exists(self) -> bool:
-        if self._match_keyword("IF"):
+    def _parse_if_exists(self, negated: bool = False) -> bool:
+        """``IF EXISTS``, or ``IF NOT EXISTS`` when ``negated``."""
+        if not self._match_keyword("IF"):
+            return False
+        if negated:
             self._expect_keyword("NOT")
-            token = self._peek()
-            if token.type is TokenType.IDENT and token.text.upper() == "EXISTS":
-                self._advance()
-            else:
-                self._expect_keyword("EXISTS")
-            return True
-        return False
+        self._expect_keyword("EXISTS")
+        return True
 
     def _parse_create_table(self) -> ast.CreateTable:
-        if_not_exists = self._parse_if_not_exists()
+        if_not_exists = self._parse_if_exists(negated=True)
         name = self._identifier("table name")
         if self._match_keyword("AS"):
             query = self._parse_select()
             return ast.CreateTable(
                 name=name, columns=[], if_not_exists=if_not_exists, as_query=query
             )
-        self._expect(TokenType.LPAREN, "(")
+        self._expect(_LPAREN, "(")
         columns: list[ast.ColumnDef] = []
         primary_key: list[str] = []
         while True:
-            if self._check_keyword("PRIMARY"):
-                self._advance()
+            if self._match_keyword("PRIMARY"):
                 self._expect_keyword("KEY")
-                self._expect(TokenType.LPAREN, "(")
-                primary_key.append(self._identifier("column name"))
-                while self._match(TokenType.COMMA):
-                    primary_key.append(self._identifier("column name"))
-                self._expect(TokenType.RPAREN, ")")
+                primary_key.extend(self._identifier_list())
             else:
                 columns.append(self._parse_column_def())
-            if not self._match(TokenType.COMMA):
+            if not self._match(_COMMA):
                 break
-        self._expect(TokenType.RPAREN, ")")
+        self._expect(_RPAREN, ")")
         for col in columns:
             if col.primary_key:
                 primary_key.append(col.name)
@@ -611,14 +573,7 @@ class Parser:
 
     def _parse_column_def(self) -> ast.ColumnDef:
         name = self._identifier("column name")
-        type_name = self._identifier("type name")
-        width = None
-        if self._match(TokenType.LPAREN):
-            width = int(self._expect(TokenType.NUMBER, "width").text)
-            # DECIMAL(p, s): consume the scale, we map to DOUBLE anyway.
-            if self._match(TokenType.COMMA):
-                self._expect(TokenType.NUMBER, "scale")
-            self._expect(TokenType.RPAREN, ")")
+        type_name, width = self._parse_type()
         column = ast.ColumnDef(name=name, type_name=type_name, width=width)
         while True:
             if self._match_keyword("NOT"):
@@ -636,25 +591,20 @@ class Parser:
                 return column
 
     def _parse_create_index(self, unique: bool) -> ast.CreateIndex:
-        if_not_exists = self._parse_if_not_exists()
+        if_not_exists = self._parse_if_exists(negated=True)
         name = self._identifier("index name")
         self._expect_keyword("ON")
         table = self._identifier("table name")
-        self._expect(TokenType.LPAREN, "(")
-        columns = [self._identifier("column name")]
-        while self._match(TokenType.COMMA):
-            columns.append(self._identifier("column name"))
-        self._expect(TokenType.RPAREN, ")")
         return ast.CreateIndex(
             name=name,
             table=table,
-            columns=columns,
+            columns=self._identifier_list(),
             unique=unique,
             if_not_exists=if_not_exists,
         )
 
     def _parse_create_view(self, materialized: bool) -> ast.CreateView:
-        if_not_exists = self._parse_if_not_exists()
+        if_not_exists = self._parse_if_exists(negated=True)
         name = self._identifier("view name")
         self._expect_keyword("AS")
         query = self._parse_select()
@@ -680,16 +630,6 @@ class Parser:
             return ast.DropView(name=self._identifier("view name"), if_exists=if_exists)
         raise self._error("expected TABLE, INDEX or VIEW after DROP")
 
-    def _parse_if_exists(self) -> bool:
-        if self._match_keyword("IF"):
-            token = self._peek()
-            if token.type is TokenType.IDENT and token.text.upper() == "EXISTS":
-                self._advance()
-            else:
-                self._expect_keyword("EXISTS")
-            return True
-        return False
-
     # -- DML ----------------------------------------------------------------
 
     def _parse_insert(self) -> ast.Insert:
@@ -701,26 +641,19 @@ class Parser:
         self._expect_keyword("INTO")
         table = self._identifier("table name")
         columns: list[str] = []
-        if self._peek().type is TokenType.LPAREN and not self._peek(1).matches("SELECT"):
-            self._advance()
-            columns.append(self._identifier("column name"))
-            while self._match(TokenType.COMMA):
-                columns.append(self._identifier("column name"))
-            self._expect(TokenType.RPAREN, ")")
+        if self._peek().type is _LPAREN and not self._peek(1).matches("SELECT"):
+            columns = self._identifier_list()
         if self._match_keyword("VALUES"):
-            values: list[list[ast.Expression]] = []
-            while True:
-                self._expect(TokenType.LPAREN, "(")
-                row = [self._parse_expression()]
-                while self._match(TokenType.COMMA):
-                    row.append(self._parse_expression())
-                self._expect(TokenType.RPAREN, ")")
-                values.append(row)
-                if not self._match(TokenType.COMMA):
-                    break
+            values = self._list_of(self._parse_values_row)
             return ast.Insert(table=table, columns=columns, values=values, or_replace=or_replace)
         query = self._parse_select()
         return ast.Insert(table=table, columns=columns, query=query, or_replace=or_replace)
+
+    def _parse_values_row(self) -> list[ast.Expression]:
+        self._expect(_LPAREN, "(")
+        row = self._list_of(self._parse_expression)
+        self._expect(_RPAREN, ")")
+        return row
 
     def _parse_delete(self) -> ast.Delete:
         self._expect_keyword("DELETE")
@@ -729,51 +662,61 @@ class Parser:
         where = self._parse_expression() if self._match_keyword("WHERE") else None
         return ast.Delete(table=table, where=where)
 
+    def _parse_truncate(self) -> ast.Delete:
+        self._expect_keyword("TRUNCATE")
+        self._match_keyword("TABLE")
+        return ast.Delete(table=self._identifier("table name"), where=None)
+
     def _parse_update(self) -> ast.Update:
         self._expect_keyword("UPDATE")
         table = self._identifier("table name")
         self._expect_keyword("SET")
-        assignments = [self._parse_set_clause()]
-        while self._match(TokenType.COMMA):
-            assignments.append(self._parse_set_clause())
+        assignments = self._list_of(self._parse_set_clause)
         where = self._parse_expression() if self._match_keyword("WHERE") else None
         return ast.Update(table=table, assignments=assignments, where=where)
 
     def _parse_set_clause(self) -> ast.SetClause:
         column = self._identifier("column name")
-        token = self._peek()
-        if token.type is not TokenType.OPERATOR or token.text != "=":
+        if not self._match(_OPERATOR, "="):
             raise self._error("expected = in SET clause")
-        self._advance()
         return ast.SetClause(column=column, value=self._parse_expression())
 
     # -- misc ----------------------------------------------------------------
+
+    def _parse_explain(self) -> ast.Explain:
+        self._expect_keyword("EXPLAIN")
+        return ast.Explain(query=self._parse_select())
+
+    def _parse_transaction(self) -> ast.Transaction:
+        return ast.Transaction(self._advance().upper)
 
     def _parse_pragma(self) -> ast.Pragma:
         self._expect_keyword("PRAGMA")
         name = self._identifier("pragma name")
         value = None
-        if self._match(TokenType.OPERATOR, "="):
+        if self._match(_OPERATOR, "="):
             token = self._peek()
-            if token.type is TokenType.NUMBER:
+            if token.type is _NUMBER:
+                if token.text.isdecimal():
+                    value = int(token.text)
+                elif "." in token.text:
+                    value = float(token.text)
+                else:
+                    raise self._error(
+                        f"expected integer or decimal pragma value, found {token.text!r}"
+                    )
                 self._advance()
-                value = float(token.text) if "." in token.text else int(token.text)
-            elif token.type is TokenType.STRING:
-                self._advance()
-                value = token.text
-            elif token.matches("TRUE"):
-                self._advance()
-                value = True
-            elif token.matches("FALSE"):
-                self._advance()
-                value = False
+            elif token.type is _STRING:
+                value = self._advance().text
+            elif token.matches("TRUE") or token.matches("FALSE"):
+                value = self._advance().upper == "TRUE"
             else:
                 value = self._identifier("pragma value")
         return ast.Pragma(name=name, value=value)
 
     def _parse_attach(self) -> ast.Attach:
         self._expect_keyword("ATTACH")
-        target = self._expect(TokenType.STRING, "attach target").text
+        target = self._expect(_STRING, "attach target").text
         self._expect_keyword("AS")
         name = self._identifier("database alias")
         return ast.Attach(target=target, name=name)
@@ -783,6 +726,25 @@ class Parser:
         self._expect_keyword("MATERIALIZED")
         self._expect_keyword("VIEW")
         return ast.RefreshView(name=self._identifier("view name"))
+
+
+_STATEMENTS = {
+    "SELECT": Parser._parse_select,
+    "WITH": Parser._parse_select,
+    "CREATE": Parser._parse_create,
+    "DROP": Parser._parse_drop,
+    "INSERT": Parser._parse_insert,
+    "DELETE": Parser._parse_delete,
+    "UPDATE": Parser._parse_update,
+    "PRAGMA": Parser._parse_pragma,
+    "ATTACH": Parser._parse_attach,
+    "REFRESH": Parser._parse_refresh,
+    "TRUNCATE": Parser._parse_truncate,
+    "EXPLAIN": Parser._parse_explain,
+    "BEGIN": Parser._parse_transaction,
+    "COMMIT": Parser._parse_transaction,
+    "ROLLBACK": Parser._parse_transaction,
+}
 
 
 def parse_script(sql: str, allow_materialized: bool = False) -> list[ast.Statement]:

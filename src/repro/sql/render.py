@@ -11,15 +11,15 @@ from repro.datatypes.values import sql_format_literal
 from repro.errors import UnsupportedError
 from repro.sql import ast
 from repro.sql.dialect import DUCKDB, Dialect
-
-# Binding strength for parenthesization decisions; higher binds tighter.
-_PRECEDENCE = {
-    "OR": 1,
-    "AND": 2,
-    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "||": 5,
-    "*": 6, "/": 6, "%": 6,
-}
+from repro.sql.parser import (
+    ADDITIVE,
+    BINARY_POWER,
+    COMPARISON,
+    NOT,
+    POSTFIX,
+    PREDICATE,
+    UNARY,
+)
 
 
 def render_expression(expr: ast.Expression, dialect: Dialect = DUCKDB) -> str:
@@ -38,7 +38,52 @@ class _Renderer:
 
     # -- expressions ----------------------------------------------------
 
-    def expression(self, expr: ast.Expression, parent_prec: int = 0) -> str:
+    def expression(self, expr: ast.Expression, parent_power: int = 0) -> str:
+        """Render ``expr``; parenthesized when its operator binds looser
+        than ``parent_power``, the level the parser would read the operand
+        at, so that parsing the text gives ``expr`` back."""
+        text, power = self._operator(expr)
+        return f"({text})" if power < parent_power else text
+
+    def _operator(self, expr: ast.Expression) -> tuple[str, int]:
+        """The text of ``expr`` and the binding power of its top operator."""
+        if isinstance(expr, ast.UnaryOp):
+            if expr.op == "NOT":
+                return f"NOT {self.expression(expr.operand, NOT)}", NOT
+            inner = self.expression(expr.operand, UNARY)
+            # ``--`` would open a comment.
+            space = " " if inner.startswith(expr.op) else ""
+            return f"{expr.op}{space}{inner}", UNARY
+        if isinstance(expr, ast.BinaryOp):
+            level = BINARY_POWER.get(expr.op, COMPARISON)
+            chains = level != COMPARISON
+            left = self.expression(expr.left, level if chains else level + 1)
+            right = self.expression(expr.right, level + 1)
+            return f"{left} {expr.op} {right}", level
+        if isinstance(expr, ast.IsNull):
+            inner = self.expression(expr.operand, PREDICATE)
+            negation = " NOT" if expr.negated else ""
+            return f"{inner} IS{negation} NULL", PREDICATE
+        if isinstance(expr, ast.InList):
+            inner = self.expression(expr.operand, PREDICATE)
+            items = ", ".join(self.expression(item) for item in expr.items)
+            negation = "NOT " if expr.negated else ""
+            return f"{inner} {negation}IN ({items})", PREDICATE
+        if isinstance(expr, ast.Between):
+            inner = self.expression(expr.operand, PREDICATE)
+            low = self.expression(expr.low, ADDITIVE)
+            high = self.expression(expr.high, ADDITIVE)
+            negation = "NOT " if expr.negated else ""
+            return f"{inner} {negation}BETWEEN {low} AND {high}", PREDICATE
+        if isinstance(expr, ast.Like):
+            inner = self.expression(expr.operand, PREDICATE)
+            pattern = self.expression(expr.pattern, ADDITIVE)
+            negation = "NOT " if expr.negated else ""
+            return f"{inner} {negation}LIKE {pattern}", PREDICATE
+        return self._atom(expr), POSTFIX
+
+    def _atom(self, expr: ast.Expression) -> str:
+        """Expressions that never need parentheses around them."""
         if isinstance(expr, ast.Literal):
             return sql_format_literal(expr.value)
         if isinstance(expr, ast.ColumnRef):
@@ -52,39 +97,6 @@ class _Renderer:
             return "*"
         if isinstance(expr, ast.Parameter):
             return "?"
-        if isinstance(expr, ast.UnaryOp):
-            inner = self.expression(expr.operand, parent_prec=7)
-            if expr.op == "NOT":
-                return f"NOT {inner}"
-            return f"{expr.op}{inner}"
-        if isinstance(expr, ast.BinaryOp):
-            prec = _PRECEDENCE.get(expr.op, 4)
-            left = self.expression(expr.left, parent_prec=prec)
-            right = self.expression(expr.right, parent_prec=prec + 1)
-            text = f"{left} {expr.op} {right}"
-            if prec < parent_prec:
-                return f"({text})"
-            return text
-        if isinstance(expr, ast.IsNull):
-            inner = self.expression(expr.operand, parent_prec=4)
-            negation = " NOT" if expr.negated else ""
-            return f"{inner} IS{negation} NULL"
-        if isinstance(expr, ast.InList):
-            inner = self.expression(expr.operand, parent_prec=4)
-            items = ", ".join(self.expression(item) for item in expr.items)
-            negation = "NOT " if expr.negated else ""
-            return f"{inner} {negation}IN ({items})"
-        if isinstance(expr, ast.Between):
-            inner = self.expression(expr.operand, parent_prec=4)
-            low = self.expression(expr.low, parent_prec=5)
-            high = self.expression(expr.high, parent_prec=5)
-            negation = "NOT " if expr.negated else ""
-            return f"{inner} {negation}BETWEEN {low} AND {high}"
-        if isinstance(expr, ast.Like):
-            inner = self.expression(expr.operand, parent_prec=4)
-            pattern = self.expression(expr.pattern, parent_prec=5)
-            negation = "NOT " if expr.negated else ""
-            return f"{inner} {negation}LIKE {pattern}"
         if isinstance(expr, ast.Case):
             pieces = ["CASE"]
             if expr.operand is not None:

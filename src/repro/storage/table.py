@@ -249,7 +249,10 @@ class Table:
         return row_id
 
     def insert_batch(
-        self, rows: Sequence[Sequence[Any]], coerce: bool = True
+        self,
+        rows: Sequence[Sequence[Any]],
+        coerce: bool = True,
+        stored_out: list | None = None,
     ) -> int:
         """Append a block of rows at once; returns how many were inserted.
 
@@ -260,6 +263,10 @@ class Table:
         encoded keys instead of per-row inserts.  The batch is atomic —
         a constraint violation rolls back every row of it (per-row
         :meth:`insert` leaves the prefix in place instead).
+
+        ``stored_out``, when given, receives the rows as stored (after
+        coercion) — extended only on success, so a trigger-firing caller
+        reports what the table holds, not what the statement spelled.
         """
         columns = self.schema.columns
         width = len(columns)
@@ -353,6 +360,8 @@ class Table:
                         self._cache_shared = False
                     for j, cached in enumerate(self._columns_cache):
                         cached.extend(row[j] for row in prepared)
+        if stored_out is not None:
+            stored_out.extend(prepared)
         return len(prepared)
 
     def upsert(self, values: Sequence[Any]) -> int:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Connection
 from repro.errors import (
+    BinderError,
     CatalogError,
     ConstraintError,
     ExecutionError,
@@ -95,6 +96,33 @@ class TestInsert:
         con.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
         with pytest.raises(ExecutionError):
             con.execute("INSERT INTO t VALUES (1)")
+
+    def test_column_list_arity_mismatch(self, con):
+        con.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(ExecutionError, match="2 names but 1 values"):
+            con.execute("INSERT INTO t (b, a) VALUES (1)")
+
+    def test_unknown_column_in_column_list(self, con):
+        con.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BinderError, match="'zz'"):
+            con.execute("INSERT INTO t (b, a, zz) VALUES (1, 2, 3)")
+        assert con.execute("SELECT * FROM t").rows == []
+
+    def test_duplicate_column_in_column_list(self, con):
+        con.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BinderError, match="more than once"):
+            con.execute("INSERT INTO t (b, a, A) VALUES (1, 2, 3)")
+        with pytest.raises(BinderError, match="more than once"):
+            con.execute("INSERT INTO t (a, a) SELECT 1, 2")
+        assert con.execute("SELECT * FROM t").rows == []
+
+    def test_signed_and_computed_cells(self, con):
+        con.execute("CREATE TABLE t (a INTEGER, b DOUBLE, c VARCHAR)")
+        con.execute("INSERT INTO t VALUES (-1, +2.5, 'x' || 'y'), (1 - 3, -1e2, NULL)")
+        assert con.execute("SELECT * FROM t").rows == [
+            (-1, 2.5, "xy"),
+            (-2, -100.0, None),
+        ]
 
     def test_insert_with_parameters(self, con):
         con.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")

@@ -123,11 +123,35 @@ class TestComments:
             tokenize("1 /* oops")
 
 
+class TestKeywordCase:
+    def test_upper_is_computed_once_and_text_keeps_the_spelling(self):
+        token = tokenize("sElEcT")[0]
+        assert (token.text, token.upper) == ("sElEcT", "SELECT")
+        assert token.matches("SELECT")
+
+    def test_quoted_keyword_is_an_identifier(self):
+        token = tokenize('"select"')[0]
+        assert token.type is TokenType.IDENT and not token.matches("SELECT")
+
+    def test_unicode_identifier(self):
+        assert texts("ñandú_1 + straße") == ["ñandú_1", "+", "straße"]
+
+
 class TestPositions:
     def test_line_numbers(self):
         tokens = tokenize("select\n1")
         assert tokens[0].line == 1
         assert tokens[1].line == 2
+
+    def test_unterminated_error_positions(self):
+        # A string runs to the end of the input; a comment is reported
+        # where it opens.
+        with pytest.raises(ParserError) as info:
+            tokenize("select\n 'a\nb")
+        assert (info.value.position, info.value.line) == (12, 3)
+        with pytest.raises(ParserError) as info:
+            tokenize("1\n/* oops")
+        assert (info.value.position, info.value.line) == (2, 2)
 
     def test_error_carries_position(self):
         with pytest.raises(ParserError) as info:

@@ -165,6 +165,18 @@ class TestExpressions:
         stmt = parse_one("SELECT ?, ?")
         assert [i.expr.index for i in stmt.items] == [0, 1]
 
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ParserError):
+            parse_one("SELECT a = b = c")
+        with pytest.raises(ParserError):
+            parse_one("SELECT a IS NULL = b")
+
+    def test_prefix_not_only_at_boolean_level(self):
+        with pytest.raises(ParserError):
+            parse_one("SELECT a + NOT b")
+        expr = parse_one("SELECT a = NOT EXISTS (SELECT 1)").items[0].expr
+        assert isinstance(expr.right, ast.Exists) and expr.right.negated
+
 
 class TestJoins:
     def test_inner_join(self):
@@ -336,6 +348,32 @@ class TestMiscStatements:
     def test_transactions(self):
         for action in ("BEGIN", "COMMIT", "ROLLBACK"):
             assert parse_one(action).action == action
+
+
+class TestIntegerArguments:
+    """A malformed width or pragma number is a ParserError carrying the
+    offending token's position, never a raw ValueError from ``int()``."""
+
+    @pytest.mark.parametrize(
+        "sql, found",
+        [
+            ("PRAGMA x = 1e5", "1e5"),
+            ("SELECT\n  CAST(a AS VARCHAR(1.5))", "1.5"),
+            ("SELECT a::DECIMAL(10.5)", "10.5"),
+            ("CREATE TABLE t (a VARCHAR(2e1))", "2e1"),
+        ],
+    )
+    def test_raises_parser_error_at_the_number(self, sql, found):
+        with pytest.raises(ParserError) as info:
+            parse_one(sql)
+        assert info.value.position == sql.index(found)
+        assert info.value.line == sql.count("\n", 0, sql.index(found)) + 1
+        assert repr(found) in str(info.value)
+
+    def test_well_formed_numbers_still_parse(self):
+        assert parse_one("PRAGMA x = 7").value == 7
+        assert parse_one("PRAGMA x = 2.5").value == 2.5
+        assert parse_one("SELECT CAST(a AS DECIMAL(10, 2))").items[0].expr.width == 10
 
 
 class TestScripts:

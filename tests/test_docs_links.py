@@ -8,7 +8,11 @@ means a doc rename fails fast locally too.
 from __future__ import annotations
 
 import pathlib
+import shutil
+import subprocess
 import sys
+
+import pytest
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 if str(_REPO_ROOT) not in sys.path:
@@ -43,3 +47,19 @@ def test_checker_flags_a_dead_link(tmp_path):
     )
     dead = find_dead_links(tmp_path)
     assert dead == [(pathlib.Path("doc.md"), "missing.md")]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git binary")
+def test_checker_flags_a_link_to_a_git_ignored_file(tmp_path):
+    """A target that exists only because a bench or build ran is dead on
+    a fresh checkout; outside a work tree the check is existence only."""
+    (tmp_path / ".gitignore").write_text("artifact.json\n", encoding="utf-8")
+    (tmp_path / "artifact.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "kept.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "doc.md").write_text(
+        "[made by a run](artifact.json) and [committed](kept.json)",
+        encoding="utf-8",
+    )
+    assert find_dead_links(tmp_path) == []
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    assert find_dead_links(tmp_path) == [(pathlib.Path("doc.md"), "artifact.json")]
