@@ -38,7 +38,7 @@ def test_upsert_join_ablation(benchmark, use_index, monkeypatch):
         # Force the hash-join path by hiding the index from the planner.
         from repro.storage.table import Table
 
-        monkeypatch.setattr(Table, "find_index_on", lambda self, cols: None)
+        monkeypatch.setattr(Table, "covering_index", lambda self, cols: None)
     batches = iter(change_batches(BASE_ROWS, 10, batches=100))
 
     def setup():
@@ -65,9 +65,9 @@ def test_ablation_shapes(report_lines):
         batches = change_batches(BASE_ROWS, 10, batches=3)
         times = []
         context = (
-            mock.patch.object(Table, "find_index_on", lambda self, cols: None)
+            mock.patch.object(Table, "covering_index", lambda self, cols: None)
             if patch
-            else mock.patch.object(Table, "find_index_on", Table.find_index_on)
+            else mock.patch.object(Table, "covering_index", Table.covering_index)
         )
         with context:
             for batch in batches:

@@ -117,7 +117,11 @@ def sql_compare(left: Any, right: Any) -> int | None:
         return -1
     if left > right:
         return 1
-    return 0
+    if left == right:
+        return 0
+    # Only NaN is neither below, above nor equal: it equals NaN and sorts
+    # above every number (DuckDB's total order, and the index key order).
+    return (left != left) - (right != right)
 
 
 def _comparable_pair(left: Any, right: Any) -> tuple[Any, Any]:

@@ -26,11 +26,11 @@ from repro.errors import (
     ParserError,
     UnsupportedError,
 )
-from repro.execution.executor import ExecutionContext, execute_plan
+from repro.execution.executor import ExecutionContext, execute_plan, probe_rows
 from repro.execution.expression import compile_expression
 from repro.planner.binder import Binder, bind_value_row
-from repro.planner.logical import LogicalOperator, explain
-from repro.planner.optimizer import Optimizer
+from repro.planner.logical import LogicalOperator, OutputColumn, explain
+from repro.planner.optimizer import Optimizer, index_probe
 from repro.engine.extension import ExtensionRegistry
 from repro.engine.result import Result
 from repro.engine.triggers import TriggerManager
@@ -50,7 +50,7 @@ class Connection:
         )
         self.catalog = Catalog()
         self.binder = Binder(self.catalog)
-        self.optimizer = Optimizer()
+        self.optimizer = Optimizer(self.catalog)
         self.triggers = TriggerManager()
         self.extensions = ExtensionRegistry()
         self.pragmas: dict[str, Any] = {}
@@ -166,14 +166,10 @@ class Connection:
         ignored; returns the number of rows removed.  AFTER DELETE
         triggers fire with the removed rows when the table has any."""
         table = self.catalog.table(table_name)
+        victims = [table.delete_row(row_id) for row_id, _ in table.probe("__pk__", keys)]
         if self.triggers.triggers_on(table.schema.name):
-            victims: list[tuple] = []
-            for key in keys:
-                for row_id in list(table.lookup_row_ids("__pk__", key)):
-                    victims.append(table.delete_row(row_id))
             self.triggers.fire(self, "DELETE", table.schema.name, victims)
-            return len(victims)
-        return sum(table.delete_by_key(key) for key in keys)
+        return len(victims)
 
     def truncate_table(self, table_name: str) -> int:
         """Empty a table in-memory — step 4 of the native pipeline clears
@@ -495,23 +491,12 @@ class Connection:
             table.truncate()
             self.triggers.fire(self, "DELETE", table.schema.name, victims)
             return Result(statement_type="DELETE", rowcount=len(victims))
-        output = [
-            # Reuse the binder's scalar path with the table's own alias.
-            col
-            for col in _table_output_columns(table)
-        ]
-        predicate = self.binder.bind_scalar(statement.where, output)
-        evaluator = compile_expression(predicate)
-        victims: list[tuple] = []
-        victim_ids: list[int] = []
-        for row_id, row in table.scan_with_ids():
-            if evaluator(row, ctx) is True:
-                victims.append(row)
-                victim_ids.append(row_id)
-        for row_id in victim_ids:
+        victims = self._dml_targets(table, statement.where, ctx)
+        for row_id, _ in victims:
             table.delete_row(row_id)
-        self.triggers.fire(self, "DELETE", table.schema.name, victims)
-        return Result(statement_type="DELETE", rowcount=len(victims))
+        rows = [row for _, row in victims]
+        self.triggers.fire(self, "DELETE", table.schema.name, rows)
+        return Result(statement_type="DELETE", rowcount=len(rows))
 
     def _execute_update(
         self, statement: ast.Update, parameters: Sequence[Any]
@@ -524,30 +509,53 @@ class Connection:
             index = table.schema.column_index(clause.column)
             bound = self.binder.bind_scalar(clause.value, output)
             assignments.append((index, compile_expression(bound)))
-        predicate_eval = None
-        if statement.where is not None:
-            predicate = self.binder.bind_scalar(statement.where, output)
-            predicate_eval = compile_expression(predicate)
-        targets = [
-            (row_id, row)
-            for row_id, row in table.scan_with_ids()
-            if predicate_eval is None or predicate_eval(row, ctx) is True
-        ]
+        # All targets are found before the first row changes, so a SET
+        # that rewrites the column the WHERE reads keeps its meaning.
+        if statement.where is None:
+            targets = list(table.scan_with_ids())
+        else:
+            targets = self._dml_targets(table, statement.where, ctx)
         pairs: list[tuple[tuple, tuple]] = []
-        for row_id, row in targets:
-            new_row = list(row)
-            for index, evaluator in assignments:
-                new_row[index] = evaluator(row, ctx)
-            old, new = table.update_row(row_id, new_row)
-            pairs.append((old, new))
+        try:
+            for row_id, row in targets:
+                new_row = list(row)
+                for index, evaluator in assignments:
+                    new_row[index] = evaluator(row, ctx)
+                pairs.append(table.update_row(row_id, new_row))
+        except Exception:
+            # The statement is atomic: put the rows already updated back
+            # (last first, so no restore can meet a key still taken) and
+            # fire nothing.  Rows updated with no captured delta would
+            # leave every view over the table wrong from then on.
+            for (row_id, _), (old, _) in reversed(list(zip(targets, pairs))):
+                table.update_row(row_id, old)
+            raise
         self.triggers.fire(self, "UPDATE", table.schema.name, pairs)
         return Result(statement_type="UPDATE", rowcount=len(pairs))
 
+    def _dml_targets(
+        self, table: Table, where: ast.Expression, ctx: ExecutionContext
+    ) -> list[tuple[int, tuple]]:
+        """``(row_id, row)`` of the rows ``where`` accepts, in row-id
+        order: from an index probe when the predicate binds an index key
+        (the same analysis and probe a SELECT's filter gets), else from
+        the scan."""
+        predicate = self.binder.bind_scalar(where, _table_output_columns(table))
+        accepts = compile_expression(predicate)
+        choice = index_probe(predicate, table)
+        candidates = probe_rows(table, *choice, ctx) if choice else None
+        if candidates is None:
+            candidates = table.scan_with_ids()
+        return [pair for pair in candidates if accepts(pair[1], ctx) is True]
 
-def _table_output_columns(table: Table):
-    from repro.planner.logical import OutputColumn
 
-    return [
-        OutputColumn(col.name, col.type, table.schema.name)
-        for col in table.schema.columns
-    ]
+def _table_output_columns(table: Table) -> list[OutputColumn]:
+    """The table's row layout as the binder's scalar scope, built once per
+    schema object (a schema's columns never change)."""
+    schema = table.schema
+    columns = getattr(schema, "_output_columns", None)
+    if columns is None:
+        columns = schema._output_columns = [
+            OutputColumn(col.name, col.type, schema.name) for col in schema.columns
+        ]
+    return columns

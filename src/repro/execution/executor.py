@@ -8,9 +8,12 @@ aggregate operators use hash tables, so asymptotics match a real engine.
 
 from __future__ import annotations
 
+import datetime
 import functools
+import itertools
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.datatypes.types import TypeId
 from repro.datatypes.values import sql_compare
 from repro.errors import ExecutionError
 from repro.execution.aggregates import make_aggregate_state
@@ -18,6 +21,7 @@ from repro.execution.expression import compile_expression
 from repro.planner.expressions import (
     BoundBinary,
     BoundColumn,
+    BoundConstant,
     BoundExpression,
 )
 from repro.planner.logical import (
@@ -37,6 +41,7 @@ from repro.planner.logical import (
 
 if TYPE_CHECKING:
     from repro.catalog.catalog import Catalog
+    from repro.storage.table import Table
 
 Row = tuple
 
@@ -87,6 +92,10 @@ def execute_plan(plan: LogicalOperator, ctx: ExecutionContext) -> list[Row]:
         if plan.database:
             catalog = catalog.attached(plan.database)
         table = catalog.table(plan.table)
+        if plan.index:
+            candidates = probe_rows(table, plan.index, plan.keys, ctx)
+            if candidates is not None:
+                return [row for _, row in candidates]
         return list(table.scan())
     if isinstance(plan, LogicalValues):
         rows = []
@@ -127,6 +136,69 @@ def execute_plan(plan: LogicalOperator, ctx: ExecutionContext) -> list[Row]:
         end = None if plan.limit is None else start + plan.limit
         return rows[start:end]
     raise ExecutionError(f"cannot execute {type(plan).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Index scan
+# ---------------------------------------------------------------------------
+
+# The Python types a column of each SQL type stores; ``type(True)`` is
+# ``bool``, so a boolean is not a number here.
+_NUMBER = (int, float)
+_STORAGE_CLASS = {
+    TypeId.BOOLEAN: (bool,),
+    TypeId.INTEGER: _NUMBER,
+    TypeId.BIGINT: _NUMBER,
+    TypeId.DOUBLE: _NUMBER,
+    TypeId.VARCHAR: (str,),
+    TypeId.DATE: (datetime.date,),
+}
+_MAX_EXACT_KEY = 2**53  # beyond it (and for NaN) key bytes and ``=`` part ways
+
+
+def probe_rows(
+    table: "Table",
+    index: str,
+    bindings: list[tuple[int, list[BoundExpression]]],
+    ctx: ExecutionContext,
+) -> list[tuple[int, Row]] | None:
+    """Candidate ``(row_id, row)`` pairs, in scan order, for a predicate
+    whose equality conjuncts bind ``index``'s key columns (the planner's
+    ``index_probe`` result); the caller re-checks its predicate on them.
+    None means "scan instead": a key expression raised (the scan raises it
+    too, if a row gets that far), a value is not of its column's storage
+    class (``=`` would coerce or raise where key bytes simply differ; this
+    is checked for every binding, since the probe skips the rows such a
+    comparison would raise on), or the table declined (snapshot reader).
+    A NULL key equals nothing and is dropped."""
+    try:
+        evaluated = [
+            (
+                ordinal,
+                [
+                    expr.value
+                    if type(expr) is BoundConstant
+                    else compile_expression(expr)((), ctx)
+                    for expr in exprs
+                ],
+            )
+            for ordinal, exprs in bindings
+        ]
+    except Exception:  # noqa: BLE001 - whatever it is, it is the scan's to raise
+        return None
+    columns = table.schema.columns
+    bound: dict[int, list] = {}
+    for ordinal, values in evaluated:
+        classes = _STORAGE_CLASS[columns[ordinal].type.id]
+        values = [value for value in values if value is not None]
+        for value in values:
+            if type(value) not in classes or (
+                classes is _NUMBER and not abs(value) <= _MAX_EXACT_KEY
+            ):
+                return None
+        bound.setdefault(ordinal, values)
+    key_columns = table.index_key_columns(index)
+    return table.probe(index, itertools.product(*(bound[c] for c in key_columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +307,10 @@ def _index_join_candidate(plan: LogicalJoin, ctx: ExecutionContext, keys):
     if right.database:
         catalog = catalog.attached(right.database)
     table = catalog.table(right.table)
-    index_name = table.find_index_on([ri for _, ri in keys])
-    if index_name is None:
-        return None
-    return table, index_name, table.index_key_columns(index_name)
+    covering = table.covering_index(right_ordinals)
+    if covering is None or len(covering[1]) != len(keys):
+        return None  # no index, or one over only some of the keys
+    return (table, *covering)
 
 
 def _execute_index_join(

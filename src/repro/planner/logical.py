@@ -56,12 +56,18 @@ class LogicalGet(LogicalOperator):
 
     ``alias`` is the binding name (FROM clause alias); ``database`` is an
     attached-catalog alias for cross-system scans, or empty for local.
+    ``index`` and ``keys`` are the optimizer's access-path choice for a
+    Get under a Filter (``index_probe``'s result): probe that index with
+    those key bindings rather than scan.  The probe may return more rows
+    than match; the Filter decides.
     """
 
     table: str
     alias: str
     output_columns: list[OutputColumn]
     database: str = ""
+    index: str = ""
+    keys: list[tuple[int, list[BoundExpression]]] = field(default_factory=list)
 
     @property
     def children(self) -> list[LogicalOperator]:
@@ -276,6 +282,9 @@ def explain(plan: LogicalOperator, indent: int = 0) -> str:
         detail = f" {plan.table}" + (f" AS {plan.alias}" if plan.alias != plan.table else "")
         if plan.database:
             detail = f" {plan.database}.{plan.table}"
+        if plan.index:
+            name = "INDEX_SCAN"
+            detail += f" USING {plan.index}"
     elif isinstance(plan, LogicalAggregate):
         detail = f" groups={len(plan.groups)} aggs={[a.function for a in plan.aggregates]}"
     elif isinstance(plan, LogicalJoin):

@@ -1,7 +1,8 @@
 """Rule-based logical optimizer.
 
 Three classic rewrites — constant folding, filter pushdown, and
-filter/TRUE elimination — plus the *extension rule* mechanism: callables
+filter/TRUE elimination — then the access-path choice (index probe or
+scan), plus the *extension rule* mechanism: callables
 registered by extension modules run as the final optimization step, which
 is exactly where the paper hooks OpenIVM into DuckDB ("as a final step in
 the optimization, DuckDB will call the OpenIVM extension rules").
@@ -9,35 +10,45 @@ the optimization, DuckDB will call the OpenIVM extension rules").
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.execution.expression import compile_expression
 from repro.planner.expressions import (
     BoundBinary,
     BoundCase,
     BoundCast,
+    BoundColumn,
     BoundConstant,
     BoundExpression,
     BoundFunction,
     BoundInList,
     BoundIsNull,
+    BoundParameter,
     BoundUnary,
     walk_bound,
 )
 from repro.planner.logical import (
     LogicalFilter,
+    LogicalGet,
     LogicalJoin,
     LogicalOperator,
     LogicalProject,
+    walk_plan,
 )
+
+if TYPE_CHECKING:
+    from repro.catalog.catalog import Catalog
+    from repro.storage.table import Table
 
 OptimizerRule = Callable[[LogicalOperator], LogicalOperator]
 
 
 class Optimizer:
-    """Applies built-in rules, then registered extension rules."""
+    """Applies built-in rules, then registered extension rules.  The
+    access-path rule reads the tables' indexes from ``catalog``."""
 
-    def __init__(self) -> None:
+    def __init__(self, catalog: "Catalog") -> None:
+        self._catalog = catalog
         self._extension_rules: list[OptimizerRule] = []
 
     def register_rule(self, rule: OptimizerRule) -> None:
@@ -48,6 +59,7 @@ class Optimizer:
         plan = fold_constants(plan)
         plan = remove_trivial_filters(plan)
         plan = pushdown_filters(plan)
+        plan = choose_access_paths(plan, self._catalog)
         for rule in self._extension_rules:
             plan = rule(plan)
         return plan
@@ -165,8 +177,6 @@ def remove_trivial_filters(plan: LogicalOperator) -> LogicalOperator:
 
 
 def _max_column_index(expr: BoundExpression) -> int:
-    from repro.planner.expressions import BoundColumn
-
     highest = -1
     for node in walk_bound(expr):
         if isinstance(node, BoundColumn):
@@ -175,8 +185,6 @@ def _max_column_index(expr: BoundExpression) -> int:
 
 
 def _min_column_index(expr: BoundExpression) -> int:
-    from repro.planner.expressions import BoundColumn
-
     lowest = 1 << 30
     for node in walk_bound(expr):
         if isinstance(node, BoundColumn):
@@ -185,8 +193,6 @@ def _min_column_index(expr: BoundExpression) -> int:
 
 
 def _shift_columns(expr: BoundExpression, delta: int) -> None:
-    from repro.planner.expressions import BoundColumn
-
     for node in walk_bound(expr):
         if isinstance(node, BoundColumn):
             node.index += delta
@@ -250,3 +256,57 @@ def _join_conjuncts(conjuncts: list[BoundExpression]) -> BoundExpression:
     for conjunct in conjuncts[1:]:
         result = BoundBinary(op="AND", left=result, right=conjunct)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Access paths
+# ---------------------------------------------------------------------------
+
+_ROW_INDEPENDENT = (BoundConstant, BoundParameter, BoundUnary, BoundBinary, BoundCast)
+
+
+def _row_independent(expr: BoundExpression) -> bool:
+    """Constants, ``?`` parameters, and arithmetic and casts over them: one
+    value per statement."""
+    return all(isinstance(node, _ROW_INDEPENDENT) for node in walk_bound(expr))
+
+
+def index_probe(
+    predicate: BoundExpression, table: "Table"
+) -> tuple[str, list[tuple[int, list[BoundExpression]]]] | None:
+    """The index probe that answers ``predicate`` (bound over ``table``'s
+    columns), for SELECT, UPDATE and DELETE alike.  Every conjunct
+    ``column = E``, ``E = column`` or ``column IN (E, …)`` with
+    row-independent ``E`` binds its column to key expressions; the result
+    is an index whose key columns are all bound, and the bindings as
+    ``(column ordinal, expressions)`` in conjunct order (of two on one
+    column the first is the key; the executor checks the values of all).
+    None when no index is covered.  The probe finds a superset of the
+    matching rows, so the caller still evaluates the whole predicate."""
+    bindings: list[tuple[int, list[BoundExpression]]] = []
+    for conjunct in _split_conjuncts(predicate):
+        if isinstance(conjunct, BoundBinary) and conjunct.op == "=":
+            sides = ((conjunct.left, [conjunct.right]), (conjunct.right, [conjunct.left]))
+        elif isinstance(conjunct, BoundInList) and not conjunct.negated:
+            sides = ((conjunct.operand, conjunct.items),)
+        else:
+            continue
+        for column, keys in sides:
+            if isinstance(column, BoundColumn) and all(map(_row_independent, keys)):
+                bindings.append((column.index, keys))
+                break
+    covering = table.covering_index({ordinal for ordinal, _ in bindings})
+    return (covering[0], bindings) if covering else None
+
+
+def choose_access_paths(plan: LogicalOperator, catalog: "Catalog") -> LogicalOperator:
+    """Record an index probe on every Get whose Filter binds an index key
+    (pushed-down join sides included); EXPLAIN shows it as INDEX_SCAN."""
+    for operator in walk_plan(plan):
+        if isinstance(operator, LogicalFilter) and isinstance(operator.child, LogicalGet):
+            get = operator.child
+            source = catalog.attached(get.database) if get.database else catalog
+            choice = index_probe(operator.predicate, source.table(get.table))
+            if choice is not None:
+                get.index, get.keys = choice
+    return plan

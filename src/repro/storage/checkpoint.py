@@ -698,10 +698,7 @@ def durability_health(directory: str | pathlib.Path) -> dict:
 def _delete_one(base, values: tuple) -> None:
     """Delete exactly one row equal to ``values`` (multiset semantics)."""
     if base.schema.primary_key:
-        key = [values[i] for i in base.schema.primary_key_indexes]
-        for row_id in base.lookup_row_ids("__pk__", key):
-            base.delete_row(row_id)
-            return
+        base.delete_by_key([values[i] for i in base.schema.primary_key_indexes])
         return
     for row_id, row in base.scan_with_ids():
         if row == values:

@@ -10,7 +10,7 @@ paper's aggregate-maintenance plans.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.datatypes.values import coerce_for_storage
@@ -475,15 +475,8 @@ class Table:
             raise ExecutionError(
                 f"delete_by_key on {self.schema.name!r} requires a PRIMARY KEY"
             )
-        row_ids = list(self.lookup_row_ids("__pk__", key_values))
-        for row_id in row_ids:
-            self.delete_row(row_id)
-        return len(row_ids)
-
-    def delete_where(self, predicate: Callable[[Row], bool]) -> int:
-        """Delete all rows matching ``predicate``; returns the count."""
-        victims = [rid for rid, row in self.scan_with_ids() if predicate(row)]
-        for row_id in victims:
+        victims = self.probe("__pk__", [key_values])
+        for row_id, _ in victims:
             self.delete_row(row_id)
         return len(victims)
 
@@ -563,18 +556,45 @@ class Table:
         _, index = self._indexes[name]
         return [self.row(row_id) for row_id in index.search(encode_key(key_values))]
 
-    def find_index_on(self, column_ordinals: Sequence[int]) -> str | None:
-        """Name of an index whose key columns equal ``column_ordinals`` as a
-        set (probe values are reordered to the index's column order), or
-        None.  Used by the executor's index-nested-loop join."""
-        wanted = sorted(column_ordinals)
-        for name, (key_columns, _) in self._indexes.items():
-            if sorted(key_columns) == wanted:
-                return name
-        return None
+    def covering_index(
+        self, columns: Collection[int]
+    ) -> tuple[str, list[int]] | None:
+        """The index to probe when ``columns`` (ordinals) are bound to
+        values: the first whose key columns are all among them, primary
+        key before unique before the rest.  Returns its name and key
+        columns (the order probe keys are given in), or None."""
+        covered = [
+            (name != "__pk__", not index.unique, name, key_columns)
+            for name, (key_columns, index) in self._indexes.items()
+            if all(ordinal in columns for ordinal in key_columns)
+        ]
+        if not covered:
+            return None
+        *_, name, key_columns = min(covered)
+        return name, key_columns
 
     def index_key_columns(self, name: str) -> list[int]:
         return list(self._indexes[name][0])
+
+    def probe(
+        self, name: str, keys: Iterable[Sequence[Any]]
+    ) -> list[tuple[int, Row]] | None:
+        """The index access path: ``(row_id, row)`` of every row stored
+        under one of ``keys`` in index ``name``, each once, by ascending
+        row id — the order a scan meets them in.  None when the calling
+        thread reads a parked snapshot epoch: the indexes are not parked,
+        so that reader scans.  The search holds the lock a refresh's
+        first write takes to park the epoch, so no pinned refresh starts
+        changing the index under it."""
+        with self._cache_lock:
+            rows = self._rows
+            if self._reader_rows() is not rows:
+                return None
+            search = self._indexes[name][1].search
+            row_ids = sorted(
+                {row_id for key in keys for row_id in search(encode_key(key))}
+            )
+            return [(row_id, rows[row_id]) for row_id in row_ids]
 
     def lookup_row_ids(self, name: str, key_values: Sequence[Any]) -> list[int]:
         """Row ids matching ``key_values`` (given in the index's key order)."""

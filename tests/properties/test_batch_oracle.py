@@ -784,6 +784,13 @@ def test_snapshot_reads_never_observe_torn_refresh():
     reader only ever reads).  If a scan could observe a half-applied
     refresh — some regions upserted, others not — it would see unequal
     counts; with snapshot reads the pinned epoch makes that impossible.
+
+    The reader also reads one region through the view's primary-key index
+    (``WHERE region = 'r3'``).  The ART is not parked with the rows, and a
+    refresh replaces a view row by delete + insert, so a probe racing it
+    could find no row at all; a reader of a parked epoch scans instead and
+    must always see exactly one whole row, never older than the last
+    full read.
     """
     num_regions = 8
     con = Connection()
@@ -811,17 +818,33 @@ def test_snapshot_reads_never_observe_torn_refresh():
     stop = threading.Event()
 
     def reader() -> None:
-        while not stop.is_set():
-            rows = con.execute("SELECT region, n FROM sh").rows
-            counts = {n for _, n in rows}
-            if len(rows) != num_regions:
-                errors.append(("missing regions", rows))
-                stop.set()
-                return
-            if len(counts) != 1:
-                errors.append(("torn epoch", sorted(rows)))
-                stop.set()
-                return
+        try:
+            while not stop.is_set():
+                problem = read_once()
+                if problem is not None:
+                    errors.append(problem)
+                    return
+        except Exception as error:  # noqa: BLE001 - a raising read is a failure
+            errors.append(("reader raised", repr(error)))
+        finally:
+            stop.set()
+
+    def read_once():
+        rows = con.execute("SELECT region, n FROM sh").rows
+        counts = {n for _, n in rows}
+        if len(rows) != num_regions:
+            return ("missing regions", rows)
+        if len(counts) != 1:
+            return ("torn epoch", sorted(rows))
+        point = con.execute("SELECT n, revenue FROM sh WHERE region = 'r3'").rows
+        # Region 3 starts at amount 4 and gains 5 per epoch.
+        if (
+            len(point) != 1
+            or point[0][0] < min(counts)
+            or point[0][1] != 4 + 5 * (point[0][0] - 1)
+        ):
+            return ("point read", point)
+        return None
 
     thread = threading.Thread(target=reader)
     old_interval = sys.getswitchinterval()

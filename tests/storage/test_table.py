@@ -59,14 +59,6 @@ class TestInsertDelete:
         assert new_rid == rid  # slot reuse
         assert sorted(table.scan()) == [("b", 2), ("c", 3)]
 
-    def test_delete_where(self):
-        table = make_table()
-        for i in range(10):
-            table.insert([f"k{i}", i])
-        removed = table.delete_where(lambda row: row[1] % 2 == 0)
-        assert removed == 5
-        assert all(row[1] % 2 == 1 for row in table.scan())
-
     def test_truncate(self):
         table = make_table(primary_key=["k"])
         table.insert(["a", 1])
@@ -136,7 +128,7 @@ class TestSecondaryIndexes:
         table.update_row(rid, ["a", 5])
         assert table.lookup("by_v", [1]) == []
         assert table.lookup("by_v", [5]) == [("a", 5)]
-        table.delete_where(lambda row: row[0] == "a")
+        table.delete_row(rid)
         assert table.lookup("by_v", [5]) == []
 
     def test_chunked_index_build_matches(self):

@@ -120,6 +120,14 @@ class TestCompare:
         assert sql_compare(1, 2.5) == -1
         assert sql_compare(3.5, 2) == 1
 
+    def test_nan_equals_itself_and_sorts_above_every_number(self):
+        # It used to compare equal to everything, so a stored NaN matched
+        # every numeric `=` a scan evaluated (and none an index probed).
+        nan = float("nan")
+        assert sql_compare(nan, nan) == 0
+        assert sql_compare(nan, float("inf")) == 1
+        assert sql_compare(-1, nan) == -1
+
     def test_strings(self):
         assert sql_compare("apple", "banana") == -1
         assert sql_compare("b", "b") == 0
