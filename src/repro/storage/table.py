@@ -4,7 +4,11 @@ Rows are Python tuples stored in a slotted list; deleted slots are reused
 lazily.  Each table maintains zero or more ART indexes; the primary key
 (when declared) is a unique ART index, which is what makes `INSERT OR
 REPLACE` (upsert) efficient — the same role DuckDB's ART plays in the
-paper's aggregate-maintenance plans.
+paper's aggregate-maintenance plans.  A replace writes the new row into
+the old row's slot and touches an index only when that index's key
+changed.  Table indexes stay ordered trees because the recompute and
+range reads share them; the IVM state of :mod:`repro.zset.incremental`,
+which needs only point access, hashes the same memcomparable keys.
 """
 
 from __future__ import annotations
@@ -224,11 +228,7 @@ class Table:
             )
         else:
             row = tuple(values)
-        for value, column in zip(row, columns):
-            if value is None and column.not_null:
-                raise ConstraintError(
-                    f"NOT NULL constraint failed: {self.schema.name}.{column.name}"
-                )
+        self._check_not_null([row])
         self._maybe_cow()
         reused_slot = bool(self._free_slots)
         row_id = self._allocate_slot(row)
@@ -287,14 +287,7 @@ class Table:
                 for col, column in zip(cols, columns)
             ]
             prepared = list(zip(*cols))
-        for j, column in enumerate(columns):
-            if column.not_null:
-                for row in prepared:
-                    if row[j] is None:
-                        raise ConstraintError(
-                            f"NOT NULL constraint failed: "
-                            f"{self.schema.name}.{column.name}"
-                        )
+        self._check_not_null(prepared)
 
         self._maybe_cow()
         reused_slots = bool(self._free_slots)
@@ -364,28 +357,6 @@ class Table:
             stored_out.extend(prepared)
         return len(prepared)
 
-    def upsert(self, values: Sequence[Any]) -> int:
-        """INSERT OR REPLACE semantics over the primary key.
-
-        Requires a primary key (DuckDB likewise requires an ART index for
-        `INSERT OR REPLACE`, as the paper notes).
-        """
-        if not self.schema.primary_key:
-            raise ExecutionError(
-                f"INSERT OR REPLACE on {self.schema.name!r} requires a PRIMARY KEY"
-            )
-        columns = self.schema.columns
-        row = tuple(
-            coerce_for_storage(value, column.type)
-            for value, column in zip(values, columns)
-        )
-        key_columns, index = self._indexes["__pk__"]
-        key = encode_key([row[i] for i in key_columns])
-        existing = index.search(key)
-        if existing:
-            self.delete_row(existing[0])
-        return self.insert(row, coerce=False)
-
     def upsert_batch(
         self,
         rows: Sequence[Sequence[Any]],
@@ -394,16 +365,17 @@ class Table:
     ) -> int:
         """INSERT OR REPLACE a block of rows over the primary key.
 
-        Matches a sequence of :meth:`upsert` calls — later rows win on
-        intra-batch key collisions — but replaces existing rows with one
-        encoded-key pass and appends the survivors through
-        :meth:`insert_batch`.  Atomic like :meth:`insert_batch`: if the
-        insert half fails (NOT NULL, secondary unique), the replaced rows
-        are restored before the error propagates.  Returns the number of
-        input rows.
+        Requires a primary key (DuckDB likewise requires an ART index for
+        `INSERT OR REPLACE`, as the paper notes).  Later rows win on
+        intra-batch key collisions.  A row whose key exists is written
+        into that row's slot, moving only the secondary index entries
+        whose key changed; the rest are appended through
+        :meth:`insert_batch`.  Atomic: on any failure (NOT NULL, unique)
+        the table and its indexes are left as they were.  Returns the
+        number of input rows.
 
         ``replaced_out`` / ``survivors_out``, when given, receive the old
-        rows this batch displaced and the deduped rows it inserted —
+        rows this batch displaced and the deduped rows it stored —
         extended only on success, so trigger-firing callers can report
         the exact stored-row delta (retract replaced, insert survivors).
         """
@@ -429,31 +401,30 @@ class Table:
             )
             deduped[encode_key([row[i] for i in key_columns])] = row
             count += 1
-        replaced: list[tuple[int, Row]] = []
-        for key in deduped:
-            for row_id in index.search(key):
-                replaced.append((row_id, self.delete_row(row_id)))
+        search = index.search
+        targets: list[tuple[int, Row]] = []
+        fresh: list[Row] = []
+        for key, row in deduped.items():
+            found = search(key)
+            if found:
+                targets.append((found[0], row))
+            else:
+                fresh.append(row)
+        self._check_not_null([row for _, row in targets])
+        # The __pk__ entry of a target is the key it was just found by.
+        replaced = self._overwrite(targets, skip="__pk__")
         try:
-            self.insert_batch(list(deduped.values()), coerce=False)
+            self.insert_batch(fresh, coerce=False)
         except Exception:
-            # The replaced rows coexisted before, so restoring them
-            # cannot itself violate a constraint.  Each goes back into
-            # its *original* slot (insert_batch already rolled its own
-            # allocations back, leaving the free list exactly as the
-            # deletes left it), so index row ids, the free list, and the
-            # row list match the pre-batch state byte-for-byte.
-            restore_ids = {row_id for row_id, _ in replaced}
-            self._free_slots = [
-                slot for slot in self._free_slots if slot not in restore_ids
-            ]
-            for row_id, row in replaced:
-                self._rows[row_id] = row
-                self._index_insert(row_id, row)
-            self._live_count += len(replaced)
-            self._invalidate_cache()
+            # The old rows coexisted before, so putting them back cannot
+            # itself violate a constraint.
+            self._overwrite(
+                [(row_id, old) for (row_id, _), old in zip(targets, replaced)],
+                skip="__pk__",
+            )
             raise
         if replaced_out is not None:
-            replaced_out.extend(row for _, row in replaced)
+            replaced_out.extend(replaced)
         if survivors_out is not None:
             survivors_out.extend(deduped.values())
         return count
@@ -483,25 +454,12 @@ class Table:
     def update_row(self, row_id: int, new_values: Sequence[Any]) -> tuple[Row, Row]:
         """Replace the row at ``row_id``; returns (old_row, new_row)."""
         old = self.row(row_id)
-        columns = self.schema.columns
         new_row = tuple(
             coerce_for_storage(value, column.type)
-            for value, column in zip(new_values, columns)
+            for value, column in zip(new_values, self.schema.columns)
         )
-        for value, column in zip(new_row, columns):
-            if value is None and column.not_null:
-                raise ConstraintError(
-                    f"NOT NULL constraint failed: {self.schema.name}.{column.name}"
-                )
-        self._maybe_cow()
-        self._index_delete(row_id, old)
-        try:
-            self._index_insert(row_id, new_row)
-        except ConstraintError:
-            self._index_insert(row_id, old)
-            raise
-        self._rows[row_id] = new_row
-        self._invalidate_cache()
+        self._check_not_null([new_row])
+        self._overwrite([(row_id, new_row)])
         return old, new_row
 
     def truncate(self) -> int:
@@ -661,6 +619,62 @@ class Table:
     def _release_slot(self, row_id: int) -> None:
         self._rows[row_id] = None
         self._free_slots.append(row_id)
+
+    def _check_not_null(self, rows: Sequence[Row]) -> None:
+        for j, column in enumerate(self.schema.columns):
+            if column.not_null and any(row[j] is None for row in rows):
+                raise ConstraintError(
+                    f"NOT NULL constraint failed: "
+                    f"{self.schema.name}.{column.name}"
+                )
+
+    def _overwrite(
+        self, targets: Sequence[tuple[int, Row]], skip: str | None = None
+    ) -> list[Row]:
+        """Write each ``(row_id, new_row)`` into its slot; returns the old
+        rows.  Only index entries whose encoded key changed move (index
+        ``skip`` is left alone): every changed old key leaves before any
+        new key enters, so keys swapped between targets do not collide.
+        A unique violation puts every entry back and writes no row."""
+        if not targets:
+            return []
+        olds = [self.row(row_id) for row_id, _ in targets]
+        self._maybe_cow()
+        moves: list[tuple[str, ARTIndex, list[tuple[int, bytes, bytes]]]] = []
+        for name, (key_columns, index) in self._indexes.items():
+            if name == skip:
+                continue
+            changed = []
+            for (row_id, new), old in zip(targets, olds):
+                old_key = encode_key([old[i] for i in key_columns])
+                new_key = encode_key([new[i] for i in key_columns])
+                if old_key != new_key:
+                    changed.append((row_id, old_key, new_key))
+            if changed:
+                moves.append((name, index, changed))
+        for _, index, changed in moves:
+            for row_id, old_key, _ in changed:
+                index.delete(old_key, row_id)
+        entered: list[tuple[ARTIndex, int, bytes]] = []
+        for name, index, changed in moves:
+            for row_id, _, new_key in changed:
+                try:
+                    index.insert(new_key, row_id)
+                except ConstraintError:
+                    for undo, done_id, done_key in entered:
+                        undo.delete(done_key, done_id)
+                    for _, undo, back in moves:
+                        for back_id, old_key, _ in back:
+                            undo.insert(old_key, back_id)
+                    raise ConstraintError(
+                        f"duplicate key violates unique constraint on "
+                        f"{self.schema.name!r} ({name})"
+                    ) from None
+                entered.append((index, row_id, new_key))
+        for row_id, new in targets:
+            self._rows[row_id] = new
+        self._invalidate_cache()
+        return olds
 
     def _index_insert(self, row_id: int, row: Row) -> None:
         inserted: list[tuple[str, bytes]] = []

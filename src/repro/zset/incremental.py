@@ -13,13 +13,16 @@ run both and compare.
 
 :class:`IndexedJoinState` is the *implementation-grade* form of the
 three-term join delta: instead of rescanning the full stored Z-set on
-every propagation, each side keeps its integrated state in a per-key index
-backed by the ART of :mod:`repro.storage.art`, so a delta batch only
-touches the keys it actually contains.  :class:`GroupLivenessState` and
-:class:`GroupExtremaState` are the same idea for the two non-invertible
-maintenance questions — is a group still alive, and what is its MIN/MAX
-after a retraction — each integrating exactly the auxiliary per-group
-structure that answers its question in O(log n) instead of a rescan.
+every propagation, each side keeps its integrated state in a hash map on
+the memcomparable key encoding of :mod:`repro.storage.keys`, so a delta
+batch only touches the keys it actually contains.
+:class:`GroupLivenessState` and :class:`GroupExtremaState` are the same
+idea for the two non-invertible maintenance questions — is a group still
+alive, and what is its MIN/MAX after a retraction — each integrating
+exactly the auxiliary per-group structure that answers its question
+without a rescan.  Every lookup here is a point lookup; the one job that
+needs order, the per-group value multiset behind MIN/MAX, keeps the ART
+of :mod:`repro.storage.art`.
 """
 
 from __future__ import annotations
@@ -167,11 +170,11 @@ class GroupExtremaState:
     materialized row no longer carries.  The SQL fallback (step 2b)
     answers that with a full per-group rescan of the base tables —
     O(|base|) per touched group.  This state instead integrates the
-    weighted count of every (group, value) pair: an outer ART maps the
-    memcomparable group key to a per-group inner ART over the encoded
-    value, whose leaves hold mutable ``[value, count]`` cells.  The
-    ordered ART makes the post-retraction extremum one outer descent plus
-    one leftmost/rightmost edge walk — O(log n) per touched group.
+    weighted count of every (group, value) pair: a hash map from the
+    memcomparable group key to a per-group ART over the encoded value,
+    whose leaves hold mutable ``[value, count]`` cells.  Only the inner
+    tree needs order: the post-retraction extremum is one hash lookup
+    plus one leftmost/rightmost edge walk — O(log n) per touched group.
 
     Like :class:`GroupLivenessState` it is persistent across refreshes,
     fed source-level deltas by the native step 1, and seeded from a
@@ -180,23 +183,23 @@ class GroupExtremaState:
     all-NULL group reads back as None — the SQL answer.
     """
 
-    __slots__ = ("_art",)
+    __slots__ = ("_groups",)
 
     def __init__(self) -> None:
-        self._art = ARTIndex()
+        self._groups: dict[bytes, ARTIndex] = {}
 
     def __len__(self) -> int:
         """Number of groups currently holding at least one value."""
-        return len(self._art)
+        return len(self._groups)
 
     @property
     def group_count(self) -> int:
         """Groups with at least one value — an O(1) planner signal."""
-        return len(self._art)
+        return len(self._groups)
 
     def load(self, entries: Iterable[tuple[tuple, object, int]]) -> None:
         """Seed with ``(group_key, value, count)`` triples."""
-        self._art = ARTIndex()
+        self._groups = {}
         for key, value, count in entries:
             self.apply([key], [value], [count])
 
@@ -209,10 +212,9 @@ class GroupExtremaState:
         answers every ``extremum`` query identically.  Values keep their
         original objects: the inner cells store them verbatim."""
         out: list[tuple[tuple, object, int]] = []
-        for group_encoded, payloads in self._art.items():
+        for group_encoded in sorted(self._groups):
             key = tuple(decode_key(group_encoded))
-            bucket: ARTIndex = payloads[0]
-            for _, cells in bucket.items():
+            for _, cells in self._groups[group_encoded].items():
                 value, count = cells[0]
                 out.append((key, value, count))
         return out
@@ -223,18 +225,17 @@ class GroupExtremaState:
         Counts that reach zero drop the value cell; groups left empty
         drop entirely, so a later re-insert starts fresh.
         """
+        groups = self._groups
         for key, value, net in zip(keys, values, nets):
             net = int(net)
             if net == 0 or value is None:
                 continue
             group_key = encode_key(key)
-            found = self._art.search(group_key)
-            bucket = found[0] if found else None
+            bucket = groups.get(group_key)
             if bucket is None:
                 if net < 0:
                     continue  # retraction of a value never integrated
-                bucket = ARTIndex()
-                self._art.insert(group_key, bucket)
+                bucket = groups[group_key] = ARTIndex()
             value_key = encode_key((value,))
             cells = bucket.search(value_key)
             if cells:
@@ -245,15 +246,14 @@ class GroupExtremaState:
             elif net > 0:
                 bucket.insert(value_key, [value, net])
             if len(bucket) == 0:
-                self._art.delete(group_key)
+                del groups[group_key]
 
     def extremum(self, key: tuple, want_max: bool):
         """Current MIN (or MAX) of ``key``'s multiset, or None when the
         group holds no non-NULL values."""
-        found = self._art.search(encode_key(key))
-        if not found:
+        bucket = self._groups.get(encode_key(key))
+        if bucket is None:
             return None
-        bucket: ARTIndex = found[0]
         item = bucket.last_item() if want_max else bucket.first_item()
         if item is None:
             return None
@@ -268,16 +268,19 @@ class GroupExtremaState:
 class _SideIndex:
     """One join side's integrated Z-set, indexed by encoded join key.
 
-    The ART maps each memcomparable key encoding to a single mutable
-    ``dict[row, weight]`` payload, so point lookups cost one tree descent
-    and integration of a delta batch touches only the keys in the batch.
+    A hash map from each memcomparable key encoding to a mutable
+    ``dict[row, weight]`` bucket: a point lookup is one ``dict.get``, and
+    integrating a delta batch touches only the keys in the batch.  Keying
+    by the encoding (not the key tuple) keeps SQL key equality — ``-0.0``
+    equals ``0``, NaN equals NaN, ``TRUE`` differs from ``1``.  A bucket
+    that empties is dropped, so the map holds only live keys.
     """
 
-    __slots__ = ("key_ordinals", "_art", "_row_count")
+    __slots__ = ("key_ordinals", "_buckets", "_row_count")
 
     def __init__(self, key_ordinals: Sequence[int]) -> None:
         self.key_ordinals = list(key_ordinals)
-        self._art = ARTIndex()
+        self._buckets: dict[bytes, dict[tuple, int]] = {}
         self._row_count = 0
 
     def __len__(self) -> int:
@@ -288,48 +291,18 @@ class _SideIndex:
 
     def lookup(self, key: tuple) -> dict[tuple, int]:
         """Rows stored under ``key`` (empty dict when absent)."""
-        found = self._art.search(encode_key(key))
-        return found[0] if found else {}
+        return self._buckets.get(encode_key(key), {})
 
-    def integrate(self, batch: ZSetBatch) -> None:
-        """Fold a delta batch into the state (I operator), per key."""
-        for row, weight in batch.consolidate().iter_entries():
-            key = self.key_of(row)
-            if any(v is None for v in key):
-                continue  # NULL keys can never join; don't store them
-            encoded = encode_key(key)
-            found = self._art.search(encoded)
-            if found:
-                bucket = found[0]
-            else:
-                bucket = {}
-                self._art.insert(encoded, bucket)
-            new_weight = bucket.get(row, 0) + weight
-            if new_weight == 0:
-                if row in bucket:
-                    del bucket[row]
-                    self._row_count -= 1
-            else:
-                if row not in bucket:
-                    self._row_count += 1
-                bucket[row] = new_weight
-
-    def integrate_grouped(
-        self, groups: "dict[tuple, list[tuple[tuple, int]]]"
-    ) -> None:
-        """Fold delta entries pre-grouped by join key: one key encoding
-        and one tree descent per *distinct* key instead of per entry —
-        the grouped counterpart of :meth:`integrate`, and the integration
-        path of the sharded join state (skewed deltas revisit the same
-        few keys, so per-row descents dominate the flat loop)."""
+    def integrate(self, groups: "dict[tuple, list[tuple[tuple, int]]]") -> None:
+        """Fold delta entries grouped by join key (:func:`_route`) into
+        the state (I operator): one key encoding and one lookup per
+        *distinct* key (skewed deltas revisit the same few keys)."""
+        buckets = self._buckets
         for key, entries in groups.items():
             encoded = encode_key(key)
-            found = self._art.search(encoded)
-            if found:
-                bucket = found[0]
-            else:
-                bucket = {}
-                self._art.insert(encoded, bucket)
+            bucket = buckets.get(encoded)
+            if bucket is None:
+                bucket = buckets[encoded] = {}
             for row, weight in entries:
                 new_weight = bucket.get(row, 0) + weight
                 if new_weight == 0:
@@ -340,48 +313,45 @@ class _SideIndex:
                     if row not in bucket:
                         self._row_count += 1
                     bucket[row] = new_weight
+            if not bucket:
+                del buckets[encoded]
 
     def bulk_load(self, rows: Iterable[tuple]) -> None:
-        """Initial build from base rows (weight +1 each), via the chunked
-        ART construction path used for CREATE-time index builds."""
+        """Initial build from base rows (weight +1 each)."""
         self.load_weighted((row, 1) for row in rows)
 
     def load_weighted(self, entries: Iterable[tuple[tuple, int]]) -> None:
         """Build from ``(row, weight)`` pairs (the checkpoint image
         shape); zero-weight survivors are dropped like ``integrate``
         would."""
-        buckets: dict[tuple, dict[tuple, int]] = {}
+        buckets: dict[bytes, dict[tuple, int]] = {}
         for row, weight in entries:
             key = self.key_of(row)
             if any(v is None for v in key):
                 continue
-            bucket = buckets.setdefault(key, {})
+            bucket = buckets.setdefault(encode_key(key), {})
             new_weight = bucket.get(row, 0) + int(weight)
             if new_weight == 0:
                 bucket.pop(row, None)
             else:
                 bucket[row] = new_weight
-        built = [
-            (encode_key(key), bucket)
-            for key, bucket in buckets.items()
-            if bucket
-        ]
-        self._row_count = sum(len(b) for _, b in built)
-        built.sort(key=lambda kv: kv[0])
-        self._art = ARTIndex.build_chunked(built)
+        self._buckets = {k: b for k, b in buckets.items() if b}
+        self._row_count = sum(len(b) for b in self._buckets.values())
 
     def dump(self) -> list[tuple[tuple, int]]:
-        """Checkpoint image: every stored ``(row, weight)`` pair, in key
-        order.  ``load_weighted`` of a dump reproduces the state."""
-        out: list[tuple[tuple, int]] = []
-        for _, payloads in self._art.items():
-            for row, weight in payloads[0].items():
-                out.append((row, weight))
-        return out
+        """Checkpoint image: every stored ``(row, weight)`` pair, in
+        encoded-key order, so the image does not depend on the order keys
+        arrived in.  ``load_weighted`` of a dump reproduces the state."""
+        buckets = self._buckets
+        return [
+            entry
+            for encoded in sorted(buckets)
+            for entry in buckets[encoded].items()
+        ]
 
 
 class IndexedJoinState:
-    """Incremental equi-join with ART-indexed per-key state on both sides.
+    """Incremental equi-join with hash-indexed per-key state on both sides.
 
     Maintains A and B (as Z-sets over their row tuples) and answers
 
@@ -450,8 +420,10 @@ class IndexedJoinState:
     def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
         """Back the state out of deltas that are already *in* the loaded
         base rows but not yet propagated (pending ΔT at load time)."""
-        self._left.integrate(-delta_left.consolidate())
-        self._right.integrate(-delta_right.consolidate())
+        self._left.integrate(_route(-delta_left, self._left.key_ordinals, 1)[0])
+        self._right.integrate(
+            _route(-delta_right, self._right.key_ordinals, 1)[0]
+        )
 
     # -- the three-term delta ----------------------------------------------
 
@@ -459,69 +431,115 @@ class IndexedJoinState:
         self, delta_left: ZSetBatch, delta_right: ZSetBatch
     ) -> ZSetBatch:
         """Output delta for one round of input deltas; integrates them."""
-        delta_left = delta_left.consolidate()
-        delta_right = delta_right.consolidate()
+        return _join_round(
+            self._left,
+            self._right,
+            _route(delta_left, self._left.key_ordinals, 1)[0],
+            _route(delta_right, self._right.key_ordinals, 1)[0],
+            (self._left_out, delta_left.arity),
+            (self._right_out, delta_right.arity),
+        )
 
-        pieces: list[tuple[list[tuple], list[tuple], list[int]]] = []
-        # ΔA ⋈ B and ΔA ⋈ ΔB share the ΔA probe loop: build a transient
-        # key index over ΔB once, then per ΔA entry hit both B's ART and
-        # the ΔB index.
-        db_index: dict[tuple, list[tuple[tuple, int]]] = {}
-        for row, weight in delta_right.iter_entries():
-            key = self._right.key_of(row)
+
+def _route(
+    batch: ZSetBatch, key_ordinals: Sequence[int], shard_count: int
+) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
+    """Split a delta batch into one ``key -> entries`` dict per shard (by
+    join-key hash), consolidating it first.  Routing and grouping are one
+    pass, so each entry is materialized once and each *distinct* key is
+    encoded once for the shard hash.  NULL-keyed entries are dropped —
+    they can never join, so they are never stored either."""
+    shards: list[dict[tuple, list[tuple[tuple, int]]]] = [
+        {} for _ in range(shard_count)
+    ]
+    batch = batch.consolidate()
+    if len(batch) == 0:
+        return shards
+    columns = batch.columns
+    key_columns = [columns[i] for i in key_ordinals]
+    # One C-level pass: zip materializes the row tuples and key
+    # tuples without a per-row Python comprehension.
+    rows = zip(*columns)
+    keys = (
+        zip(*key_columns)
+        if len(key_columns) != 1
+        else ((value,) for value in key_columns[0])
+    )
+    key_bucket: dict[tuple, list] = {}
+    for row, key, weight in zip(rows, keys, batch.weights.tolist()):
+        bucket = key_bucket.get(key)
+        if bucket is None:
             if any(v is None for v in key):
                 continue
-            db_index.setdefault(key, []).append((row, weight))
+            target = shards[
+                0 if shard_count == 1 else shard_of(encode_key(key), shard_count)
+            ]
+            key_bucket[key] = bucket = target.setdefault(key, [])
+        bucket.append((row, weight))
+    return shards
 
-        lrows: list[tuple] = []
-        rrows: list[tuple] = []
-        wprod: list[int] = []
-        for lrow, lweight in delta_left.iter_entries():
-            key = self._left.key_of(lrow)
-            if any(v is None for v in key):
-                continue
-            stored = self._right.lookup(key)
+
+def _join_round(
+    left: _SideIndex,
+    right: _SideIndex,
+    dl_groups: dict,
+    dr_groups: dict,
+    left_shape: tuple[list[int] | None, int],
+    right_shape: tuple[list[int] | None, int],
+) -> ZSetBatch:
+    """Three-term join delta over one pair of side indexes from deltas
+    grouped by :func:`_route`, old-state semantics; integrates the
+    deltas afterwards.  Each shape is ``(output ordinals or None, input
+    arity)``."""
+    lrows: list[tuple] = []
+    rrows: list[tuple] = []
+    wprod: list[int] = []
+    # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side lookup per distinct ΔA
+    # key, shared by every ΔA entry under that key.
+    for key, lentries in dl_groups.items():
+        stored = right.lookup(key)
+        fresh = dr_groups.get(key)
+        if not stored and not fresh:
+            continue
+        for lrow, lweight in lentries:
             for rrow, rweight in stored.items():
                 lrows.append(lrow)
                 rrows.append(rrow)
                 wprod.append(lweight * rweight)
-            for rrow, rweight in db_index.get(key, ()):
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
-        # A ⋈ ΔB: probe A's index per ΔB entry (old A — ΔA not yet folded).
-        for rrow, rweight in delta_right.iter_entries():
-            key = self._right.key_of(rrow)
-            if any(v is None for v in key):
-                continue
-            stored = self._left.lookup(key)
+            if fresh:
+                for rrow, rweight in fresh:
+                    lrows.append(lrow)
+                    rrows.append(rrow)
+                    wprod.append(lweight * rweight)
+    # A ⋈ ΔB (old A — ΔA not yet folded), one lookup per ΔB key.
+    for key, rentries in dr_groups.items():
+        stored = left.lookup(key)
+        if not stored:
+            continue
+        for rrow, rweight in rentries:
             for lrow, lweight in stored.items():
                 lrows.append(lrow)
                 rrows.append(rrow)
                 wprod.append(lweight * rweight)
 
-        self._left.integrate(delta_left)
-        self._right.integrate(delta_right)
+    left.integrate(dl_groups)
+    right.integrate(dr_groups)
 
-        left_out = self._left_out
-        right_out = self._right_out
-        if not lrows:
-            left_arity = len(left_out) if left_out is not None else (
-                delta_left.arity
-            )
-            right_arity = len(right_out) if right_out is not None else (
-                delta_right.arity
-            )
-            return ZSetBatch.empty(left_arity + right_arity)
-        left_batch = ZSetBatch.from_rows(lrows, wprod)
-        right_batch = ZSetBatch.from_rows(rrows, np.ones(len(rrows), dtype=np.int64))
-        if left_out is None:
-            left_out = range(left_batch.arity)
-        if right_out is None:
-            right_out = range(right_batch.arity)
-        columns = [left_batch.columns[j] for j in left_out]
-        columns += [right_batch.columns[j] for j in right_out]
-        return ZSetBatch(columns, left_batch.weights).consolidate()
+    (left_out, left_arity), (right_out, right_arity) = left_shape, right_shape
+    if not lrows:
+        return ZSetBatch.empty(
+            (left_arity if left_out is None else len(left_out))
+            + (right_arity if right_out is None else len(right_out))
+        )
+    left_batch = ZSetBatch.from_rows(lrows, wprod)
+    right_batch = ZSetBatch.from_rows(rrows, np.ones(len(rrows), dtype=np.int64))
+    if left_out is None:
+        left_out = range(left_batch.arity)
+    if right_out is None:
+        right_out = range(right_batch.arity)
+    columns = [left_batch.columns[j] for j in left_out]
+    columns += [right_batch.columns[j] for j in right_out]
+    return ZSetBatch(columns, left_batch.weights).consolidate()
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +558,8 @@ class ShardedJoinState:
     encoding, so each shard owns a disjoint key range of both side
     indexes.
 
-    Beyond the partitioning, ``apply_shard`` upgrades the probe loops:
-    deltas are grouped by join key first, so each distinct key pays one
-    encoding + one ART descent on each side, not one per delta row.
-    Under the skewed distributions sharding targets, that collapses the
-    dominant per-row cost of the flat :meth:`IndexedJoinState.apply`
-    loop.
+    Each shard runs the same grouped three-term round
+    (:func:`_join_round`) as the unsharded state.
     """
 
     def __init__(
@@ -644,63 +658,23 @@ class ShardedJoinState:
 
     def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
         for side, groups in zip(self._lefts, self.route_left(-delta_left)):
-            side.integrate_grouped(groups)
+            side.integrate(groups)
         for side, groups in zip(self._rights, self.route_right(-delta_right)):
-            side.integrate_grouped(groups)
+            side.integrate(groups)
 
     # -- routing -----------------------------------------------------------
-
-    def _route(
-        self, batch: ZSetBatch, key_ordinals: Sequence[int]
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        """Split a consolidated delta batch into one ``key -> entries``
-        dict per shard (by join-key hash).  Routing and grouping are one
-        pass: ``apply_shard`` consumes the dicts directly, so each entry
-        is materialized once and each *distinct* key is encoded once for
-        both the shard hash and the later ART descent.  NULL-keyed
-        entries are dropped — they can never join, matching the
-        unsharded probe loop."""
-        shards: list[dict[tuple, list[tuple[tuple, int]]]] = [
-            {} for _ in range(self.shard_count)
-        ]
-        batch = batch.consolidate()
-        if len(batch) == 0:
-            return shards
-        count = self.shard_count
-        columns = batch.columns
-        key_columns = [columns[i] for i in key_ordinals]
-        # One C-level pass: zip materializes the row tuples and key
-        # tuples without a per-row Python comprehension.
-        rows = zip(*columns)
-        keys = (
-            zip(*key_columns)
-            if len(key_columns) != 1
-            else ((value,) for value in key_columns[0])
-        )
-        key_bucket: dict[tuple, list] = {}
-        for row, key, weight in zip(rows, keys, batch.weights.tolist()):
-            bucket = key_bucket.get(key)
-            if bucket is None:
-                if any(v is None for v in key):
-                    continue
-                target = shards[
-                    0 if count == 1 else shard_of(encode_key(key), count)
-                ]
-                key_bucket[key] = bucket = target.setdefault(key, [])
-            bucket.append((row, weight))
-        return shards
 
     def route_left(
         self, batch: ZSetBatch
     ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
         self._left_arity = batch.arity
-        return self._route(batch, self._left_key)
+        return _route(batch, self._left_key, self.shard_count)
 
     def route_right(
         self, batch: ZSetBatch
     ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
         self._right_arity = batch.arity
-        return self._route(batch, self._right_key)
+        return _route(batch, self._right_key, self.shard_count)
 
     # -- the three-term delta, per shard ------------------------------------
 
@@ -711,68 +685,18 @@ class ShardedJoinState:
         from the pre-grouped deltas ``route_left``/``route_right``
         produced; integrates them into the shard's side indexes.  Safe
         to run concurrently across *different* shards — each touches only
-        its own pair of ARTs."""
-        left = self._lefts[shard]
-        right = self._rights[shard]
+        its own pair of side indexes."""
         self.last_shard_loads[shard] = sum(
             len(entries) for entries in dl_groups.values()
         ) + sum(len(entries) for entries in dr_groups.values())
-
-        lrows: list[tuple] = []
-        rrows: list[tuple] = []
-        wprod: list[int] = []
-        # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side descent per distinct ΔA
-        # key, shared by every ΔA entry under that key.
-        for key, lentries in dl_groups.items():
-            stored = right.lookup(key)
-            fresh = dr_groups.get(key)
-            if not stored and not fresh:
-                continue
-            for lrow, lweight in lentries:
-                for rrow, rweight in stored.items():
-                    lrows.append(lrow)
-                    rrows.append(rrow)
-                    wprod.append(lweight * rweight)
-                if fresh:
-                    for rrow, rweight in fresh:
-                        lrows.append(lrow)
-                        rrows.append(rrow)
-                        wprod.append(lweight * rweight)
-        # A ⋈ ΔB (old A — ΔA not yet folded), one descent per ΔB key.
-        for key, rentries in dr_groups.items():
-            stored = left.lookup(key)
-            if not stored:
-                continue
-            for rrow, rweight in rentries:
-                for lrow, lweight in stored.items():
-                    lrows.append(lrow)
-                    rrows.append(rrow)
-                    wprod.append(lweight * rweight)
-
-        left.integrate_grouped(dl_groups)
-        right.integrate_grouped(dr_groups)
-
-        left_out = self._left_out
-        right_out = self._right_out
-        if not lrows:
-            left_arity = (
-                len(left_out) if left_out is not None else self._left_arity
-            )
-            right_arity = (
-                len(right_out) if right_out is not None else self._right_arity
-            )
-            return ZSetBatch.empty(left_arity + right_arity)
-        left_batch = ZSetBatch.from_rows(lrows, wprod)
-        right_batch = ZSetBatch.from_rows(
-            rrows, np.ones(len(rrows), dtype=np.int64)
+        return _join_round(
+            self._lefts[shard],
+            self._rights[shard],
+            dl_groups,
+            dr_groups,
+            (self._left_out, self._left_arity),
+            (self._right_out, self._right_arity),
         )
-        if left_out is None:
-            left_out = range(left_batch.arity)
-        if right_out is None:
-            right_out = range(right_batch.arity)
-        columns = [left_batch.columns[j] for j in left_out]
-        columns += [right_batch.columns[j] for j in right_out]
-        return ZSetBatch(columns, left_batch.weights).consolidate()
 
     def apply(
         self, delta_left: ZSetBatch, delta_right: ZSetBatch

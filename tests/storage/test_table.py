@@ -1,5 +1,7 @@
 """Row-store table tests: constraints, upserts, index maintenance."""
 
+from collections import Counter
+
 import pytest
 
 from repro.catalog.schema import Column, TableSchema
@@ -84,14 +86,14 @@ class TestPrimaryKey:
 
     def test_upsert_inserts_then_replaces(self):
         table = make_table(primary_key=["k"])
-        table.upsert(["a", 1])
-        table.upsert(["a", 99])
+        table.upsert_batch([["a", 1]])
+        table.upsert_batch([["a", 99]])
         assert len(table) == 1
         assert table.pk_lookup(["a"]) == ("a", 99)
 
     def test_upsert_requires_pk(self):
         with pytest.raises(ExecutionError):
-            make_table().upsert(["a", 1])
+            make_table().upsert_batch([["a", 1]])
 
     def test_null_pk_values_group_as_equal(self):
         # IVM-generated tables rely on NULL keys colliding (Z-set grouping).
@@ -99,7 +101,7 @@ class TestPrimaryKey:
         table.insert([None, 1])
         with pytest.raises(ConstraintError):
             table.insert([None, 2])
-        table.upsert([None, 3])
+        table.upsert_batch([[None, 3]])
         assert table.pk_lookup([None]) == (None, 3)
 
 
@@ -290,21 +292,133 @@ def test_insert_batch_unique_keys_match_sequential(rows):
         assert batched.pk_lookup([key]) == sequential.pk_lookup([key])
 
 
-@given(st.lists(_row, min_size=2, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_upsert_batch_equals_sequential_upserts(rows):
-    """upsert_batch matches a loop of upserts, including intra-batch key
-    collisions (later rows win) and replacement of pre-existing rows."""
-    sequential = make_table(primary_key=["k"])
-    batched = make_table(primary_key=["k"])
-    seed, rest = rows[: len(rows) // 2], rows[len(rows) // 2:]
-    for table in (sequential, batched):
-        table.upsert_batch(seed)
-    for row in rest:
-        sequential.upsert(row)
-    assert batched.upsert_batch(rest) == len(rest)
-    assert sorted(batched.scan()) == sorted(sequential.scan())
-    assert len(batched) == len(sequential)
+def make_keyed_table() -> Table:
+    """PK ``k``, a unique secondary index ``by_v`` on ``v``, and a NOT
+    NULL column ``w`` — every way a replace can fail."""
+    schema = TableSchema(
+        "t",
+        [
+            Column("k", VARCHAR),
+            Column("v", INTEGER),
+            Column("w", INTEGER, not_null=True),
+        ],
+        primary_key=["k"],
+    )
+    table = Table(schema)
+    table.add_index("by_v", [1], unique=True)
+    return table
+
+
+def image(table: Table):
+    """Rows by slot, the free list, and every index's entries."""
+    return (
+        list(table.scan_with_ids()),
+        list(table._free_slots),
+        {
+            name: [(key, list(ids)) for key, ids in table.index(name).items()]
+            for name in table.index_names()
+        },
+    )
+
+
+def signed(replaced, stored) -> Counter:
+    """The stored-row delta a trigger reports, as one signed multiset."""
+    delta = Counter(stored)
+    delta.subtract(replaced)
+    return +delta
+
+
+_keyed_row = st.tuples(
+    st.sampled_from("abcde"),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.sampled_from([1, 2, 3, None]),
+)
+
+
+@given(
+    st.lists(_keyed_row, max_size=12),
+    st.sets(st.sampled_from("abcde")),
+    st.lists(_keyed_row, min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_upsert_batch_equals_sequential_upserts(seed, deletes, batch):
+    """One upsert_batch of a block matches single-row upsert_batch calls:
+    rows, slot layout, free list, index entries, trigger payloads and
+    the exception.  Single rows can fail where the block is consistent
+    as a whole (two rows swap their ``by_v`` keys); then the block must
+    equal the last-row-wins table.  A failed block changes nothing."""
+    tables = []
+    for _ in range(2):
+        table = make_keyed_table()
+        for row in seed:
+            try:
+                table.upsert_batch([row])
+            except ConstraintError:
+                pass
+        for key in sorted(deletes):
+            table.delete_by_key([key])
+        tables.append(table)
+    batched, single = tables
+    before = image(batched)
+    replaced: list = []
+    stored: list = []
+    try:
+        batched.upsert_batch(batch, replaced_out=replaced, survivors_out=stored)
+        error = None
+    except ConstraintError as exc:
+        error = type(exc)
+    ref_replaced: list = []
+    ref_stored: list = []
+    ref_error = None
+    for row in batch:
+        try:
+            single.upsert_batch(
+                [row], replaced_out=ref_replaced, survivors_out=ref_stored
+            )
+        except ConstraintError as exc:
+            ref_error = type(exc)
+            break
+    if error is not None:
+        assert error is ref_error
+        assert image(batched) == before
+        assert replaced == stored == []
+    elif ref_error is None:
+        assert image(batched) == image(single)
+        assert signed(replaced, stored) == signed(ref_replaced, ref_stored)
+        if len({row[0] for row in batch}) == len(batch):
+            assert (replaced, stored) == (ref_replaced, ref_stored)
+    else:
+        expected = {row[0]: row for _, row in before[0]}
+        expected.update((row[0], row) for row in batch)
+        assert sorted(batched.scan()) == sorted(expected.values())
+        slots = {row[0]: row_id for row_id, row in before[0]}
+        for row_id, row in batched.scan_with_ids():
+            assert slots.get(row[0], row_id) == row_id  # replaced in place
+            assert batched.lookup("by_v", [row[1]]) == [row]
+            assert batched.pk_lookup([row[0]]) == row
+
+
+def test_failed_upsert_leaves_the_table_unchanged():
+    """A replace whose new row collides on a secondary unique index must
+    not lose the row it was replacing."""
+    table = make_table(primary_key=["k"])
+    table.add_index("by_v", [1], unique=True)
+    table.insert(["a", 1])
+    table.insert(["b", 2])
+    before = image(table)
+    with pytest.raises(ConstraintError):
+        table.upsert_batch([["a", 2]])
+    assert image(table) == before
+
+
+def test_upsert_batch_swaps_secondary_keys():
+    table = make_table(primary_key=["k"])
+    table.add_index("by_v", [1], unique=True)
+    table.insert(["a", 1])
+    table.insert(["b", 2])
+    table.upsert_batch([["a", 2], ["b", 1]])
+    assert list(table.scan_with_ids()) == [(0, ("a", 2)), (1, ("b", 1))]
+    assert table.lookup("by_v", [1]) == [("b", 1)]
 
 
 def test_insert_batch_rolls_back_atomically_on_duplicate():
