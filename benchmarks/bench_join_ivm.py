@@ -79,17 +79,11 @@ MINMAX_RECOMPUTE = (
     "GROUP BY o.cust_id"
 )
 
-# name -> CompilerFlags overrides, in increasing nativeness.  The
-# "adaptive" config in each ablation family runs the cost-based planner
-# (core/adaptive.py) instead of a static plan; it gets 3x the rounds so
-# the initial arm round-robin is amortized, and its entry additionally
-# records the RefreshStats decision log.  The emitted artifact's
-# top-level "adaptive" section summarizes it against the static configs.
+# name -> CompilerFlags overrides, in increasing nativeness.
 PIPELINE_CONFIGS = [
     ("sql", dict(batch_kernels=False)),
     ("step1_native", dict(batch_kernels=True, native_steps=(1,))),
     ("full_native", dict(batch_kernels=True)),
-    ("adaptive", dict(batch_kernels=True, adaptive=True)),
 ]
 
 # Step-2b ablation: full native pipeline either way, with MIN/MAX
@@ -97,7 +91,6 @@ PIPELINE_CONFIGS = [
 MINMAX_CONFIGS = [
     ("sql_rescan", dict(native_minmax_rescan=False)),
     ("native_rescan", dict()),
-    ("adaptive", dict(adaptive=True)),
 ]
 
 # UNION-regroup step-2 ablation: the per-customer join view under the
@@ -123,9 +116,6 @@ UNION_CONFIGS = [
     ("native_regroup", dict(
         strategy=MaterializationStrategy.UNION_REGROUP,
     )),
-    ("adaptive", dict(
-        strategy=MaterializationStrategy.UNION_REGROUP, adaptive=True,
-    )),
 ]
 
 # Expression-keyed ablation: computed key + computed aggregate argument
@@ -144,7 +134,6 @@ EXPR_RECOMPUTE = (
 EXPR_CONFIGS = [
     ("sql_step1", dict(native_expr_eval=False)),
     ("native_expr", dict()),
-    ("adaptive", dict(adaptive=True)),
 ]
 
 # Cascaded-view ablation: the same base delta refreshed to the leaf of
@@ -182,37 +171,15 @@ VIEW_DAG_LEVELS = [
     ),
 ]
 
-# Sharding ablation: the per-customer join view refreshed through the
-# per-step native pipeline (shards1 — the honest baseline) vs the
-# sharded one-pass refresh at 2 and 4 shards.  On a GIL'd single-core
-# runner the win is algorithmic, not parallel: one key encoding and one
-# ART descent per *distinct* group key instead of per delta row, plus
-# the ΔV staging-table round-trip skipped entirely — so a skewed delta
-# (few hot customers) is exactly where the gap shows.
-SHARDING_CONFIGS = [
-    ("shards1", dict()),
-    ("shards2", dict(shard_count=2, parallel_refresh=True)),
-    ("shards4", dict(shard_count=4, parallel_refresh=True)),
-    ("adaptive", dict(shard_count=4, parallel_refresh=True, adaptive=True)),
-]
-
 BENCH_PIPELINE_PATH = pathlib.Path(__file__).resolve().parents[1] / (
     "BENCH_pipeline.json"
 )
-
-
-def _config_rounds(overrides: dict, rounds: int) -> int:
-    """Adaptive configs run 3x the rounds: the planner's initial
-    round-robin visits every arm once before feedback converges, and
-    best-of timing should reflect the converged regime."""
-    return rounds * 3 if overrides.get("adaptive") else rounds
 
 
 def _build(
     orders: int = ORDERS,
     batch_kernels: bool = True,
     view: str = VIEW,
-    bulk_ingest: bool = False,
     **flag_overrides,
 ):
     workload = generate_sales_workload(num_orders=orders, seed=21)
@@ -228,15 +195,10 @@ def _build(
     con.execute(workload.SCHEMA)
     customers = con.table("customers")
     orders_table = con.table("orders")
-    if bulk_ingest:
-        # The 100k-row sharding config would take too long row-at-a-time.
-        customers.insert_batch(workload.customers, coerce=False)
-        orders_table.insert_batch(workload.orders, coerce=False)
-    else:
-        for row in workload.customers:
-            customers.insert(row, coerce=False)
-        for row in workload.orders:
-            orders_table.insert(row, coerce=False)
+    for row in workload.customers:
+        customers.insert(row, coerce=False)
+    for row in workload.orders:
+        orders_table.insert(row, coerce=False)
     con.execute(view)
     return con, extension, workload
 
@@ -358,7 +320,7 @@ def collect_pipeline_trajectory(
         all_steps = ["step1", "step2", "step3", "step4"]
         oid = workload.next_order_id()
         timings = []
-        for _ in range(_config_rounds(overrides, rounds)):
+        for _ in range(rounds):
             _apply_delta(con, workload, oid, delta_rows)
             oid += delta_rows
             elapsed, _ = time_call(lambda: ext.refresh("rev_cust"))
@@ -369,10 +331,6 @@ def collect_pipeline_trajectory(
             "refresh_seconds": timings,
             "best_seconds": min(timings),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats(
-                "rev_cust"
-            )
     best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
     result["speedup_full_native_vs_sql"] = best["sql"] / best["full_native"]
     result["speedup_full_native_vs_step1_only"] = (
@@ -434,7 +392,7 @@ def collect_minmax_trajectory(
         push_round(0)
         ext.refresh("px")  # absorb the seed round outside the timing
         timings = []
-        for round_index in range(1, _config_rounds(overrides, rounds) + 1):
+        for round_index in range(1, rounds + 1):
             push_round(round_index)
             elapsed, _ = time_call(lambda: ext.refresh("px"))
             timings.append(elapsed)
@@ -446,8 +404,6 @@ def collect_minmax_trajectory(
             "refresh_seconds": timings,
             "best_seconds": min(timings),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats("px")
     best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
     result["speedup_native_rescan_vs_sql_rescan"] = (
         best["sql_rescan"] / best["native_rescan"]
@@ -486,7 +442,7 @@ def _collect_refresh_ablation(
         status = ext.status()[0]
         oid = workload.next_order_id()
         timings = []
-        for _ in range(_config_rounds(overrides, rounds)):
+        for _ in range(rounds):
             _apply_delta(con, workload, oid, delta_rows)
             oid += delta_rows
             elapsed, _ = time_call(lambda: ext.refresh(view_name))
@@ -499,10 +455,6 @@ def _collect_refresh_ablation(
             "refresh_seconds": timings,
             "best_seconds": min(timings),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats(
-                view_name
-            )
     return result
 
 
@@ -605,91 +557,6 @@ def collect_view_dag_trajectory(
         }
     best = {d: cfg["best_seconds"] for d, cfg in result["depths"].items()}
     result["overhead_depth3_vs_depth1"] = best["depth3"] / best["depth1"]
-    return result
-
-
-def collect_sharding_trajectory(
-    orders: int = 100_000,
-    delta_rows: int = 2_000,
-    rounds: int = 5,
-    warmup_rounds: int = 2,
-    skew: float = 2.0,
-) -> dict:
-    """Sharded one-pass refresh vs the per-step pipeline, on skewed deltas.
-
-    The per-customer join view over ``orders`` base rows, refreshed after
-    Zipf-skewed insert batches (``skew`` over the 200 customers, so a
-    handful of hot customers absorb most of each delta).  ``shards1`` runs
-    the legacy per-step native pipeline; the sharded configs route each
-    delta once, probe the join state once per distinct key, and fold
-    aggregate, liveness, and extrema updates per shard without staging ΔV.
-
-    Per config the artifact records the per-round timings plus the
-    ``RefreshStats`` snapshot (wall clock, per-stage seconds, rows in,
-    shard skew) from the extension's counter object.
-    """
-    from repro.workloads import time_call, zipf_group_keys
-
-    result: dict = {
-        "benchmark": "bench_join_ivm.sharding_trajectory",
-        "workload": {
-            "orders": orders,
-            "delta_rows": delta_rows,
-            "rounds": rounds,
-            "zipf_skew": skew,
-            "view": "rev_cust (join, GROUP BY cust_id)",
-        },
-        "configs": {},
-    }
-    recompute_sql = (
-        "SELECT o.cust_id, SUM(o.amount) AS revenue, COUNT(*) AS n "
-        "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
-        "GROUP BY o.cust_id"
-    )
-    # Key schedule sized for the longest config (adaptive runs 3x the
-    # rounds); every config replays the same prefix of it.
-    max_rounds = max(
-        _config_rounds(overrides, rounds) for _, overrides in SHARDING_CONFIGS
-    )
-    keys = zipf_group_keys(
-        delta_rows * (max_rounds + warmup_rounds), 200, skew, 77
-    )
-    for name, overrides in SHARDING_CONFIGS:
-        con, ext, workload = _build(
-            orders=orders, view=VIEW_BY_CUSTOMER, bulk_ingest=True,
-            **overrides,
-        )
-        status = ext.status()[0]
-        base = con.table("orders")
-        delta = con.table("delta_orders")
-        oid = workload.next_order_id()
-        key_index = 0
-        timings = []
-        total_rounds = _config_rounds(overrides, rounds) + warmup_rounds
-        for round_index in range(total_rounds):
-            rows = []
-            for _ in range(delta_rows):
-                cust = "cust_%05d" % int(keys[key_index][1:])
-                rows.append((oid, cust, "p", oid % 100))
-                oid += 1
-                key_index += 1
-            base.insert_batch(rows, coerce=False)
-            delta.insert_batch([row + (True,) for row in rows], coerce=False)
-            elapsed, _ = time_call(lambda: ext.refresh("rev_cust"))
-            if round_index >= warmup_rounds:
-                timings.append(elapsed)
-        got = con.execute("SELECT * FROM rev_cust").sorted()
-        want = con.execute(recompute_sql).sorted()
-        assert got == want, f"{name} diverged from recompute"
-        result["configs"][name] = {
-            "native_steps": status["native_steps"],
-            "refresh_seconds": timings,
-            "best_seconds": min(timings),
-            "refresh_stats": ext.refresh_stats("rev_cust"),
-        }
-    best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
-    result["speedup_2_shards_vs_1"] = best["shards1"] / best["shards2"]
-    result["speedup_4_shards_vs_1"] = best["shards1"] / best["shards4"]
     return result
 
 
@@ -976,51 +843,6 @@ def collect_ingestion_queue_benchmark(
     return result
 
 
-def summarize_adaptive(data: dict) -> dict:
-    """Derive the artifact's top-level ``adaptive`` section.
-
-    Per ablation family: the best and worst *static* config, the
-    adaptive config's converged best, the normalized ``vs_best_ratio``
-    (adaptive / static best — the planner's goal is ~1.0), whether it
-    beat the worst static plan (the floor a wrong static flag choice
-    pays), and the planner's decision log summary.
-    """
-    families = {
-        "pipeline": data["configs"],
-        "minmax": data["minmax"]["configs"],
-        "union_regroup": data["union_regroup"]["configs"],
-        "expr_keyed": data["expr_keyed"]["configs"],
-        "sharding": data["sharding"]["configs"],
-    }
-    summary: dict = {}
-    for family, configs in families.items():
-        adaptive = configs.get("adaptive")
-        if adaptive is None:
-            continue
-        static = {
-            name: cfg["best_seconds"]
-            for name, cfg in configs.items()
-            if name != "adaptive"
-        }
-        best_name = min(static, key=static.get)
-        worst_name = max(static, key=static.get)
-        stats = adaptive.get("refresh_stats") or {}
-        decisions = stats.get("decisions") or []
-        summary[family] = {
-            "static_best": best_name,
-            "static_best_seconds": static[best_name],
-            "static_worst": worst_name,
-            "static_worst_seconds": static[worst_name],
-            "adaptive_best_seconds": adaptive["best_seconds"],
-            "vs_best_ratio": adaptive["best_seconds"] / static[best_name],
-            "beats_worst": adaptive["best_seconds"] < static[worst_name],
-            "decisions": len(decisions),
-            "plan_switches": stats.get("plan_switches", 0),
-            "arms_seen": sorted({d["plan"]["arm"] for d in decisions}),
-        }
-    return summary
-
-
 def emit_pipeline_trajectory(
     path: "pathlib.Path | str | None" = None,
     orders: int = ORDERS,
@@ -1029,9 +851,6 @@ def emit_pipeline_trajectory(
     minmax_rounds: int = 6,
     ingestion_rows=(500, 2000),
     ablation_rounds: int = 6,
-    sharding_orders: int = 100_000,
-    sharding_delta_rows: int = 2_000,
-    sharding_rounds: int = 5,
     durability_rows: int = 500,
     durability_batches: int = 10,
     queue_bursts: int = 8,
@@ -1042,14 +861,10 @@ def emit_pipeline_trajectory(
     The artifact carries eight sections: the per-step pipeline
     trajectory, the MIN/MAX step-2b ablation, the row-vs-batch ingestion
     comparison, the UNION-regroup step-2 ablation, the expression-keyed
-    step-1 ablation, the sharding ablation at 1/2/4 shards on the skewed
-    100k-row config, WAL append and recovery-replay throughput, the
-    ``ingestion_queue`` burst comparison (sync capture vs the bounded
-    queue under block/coalesce backpressure), and —
-    since the adaptive-planner milestone — the ``adaptive`` summary
-    comparing the planner's converged refresh against the best and worst
-    static config of every family (each family also carries its own
-    ``adaptive`` config with the full decision log).
+    step-1 ablation, the view-DAG depth ablation, WAL append and
+    recovery-replay throughput, and the ``ingestion_queue`` burst
+    comparison (sync capture vs the bounded queue under block/coalesce
+    backpressure).
     """
     data = collect_pipeline_trajectory(
         orders=orders, delta_rows=delta_rows, rounds=rounds
@@ -1067,17 +882,12 @@ def emit_pipeline_trajectory(
     data["view_dag"] = collect_view_dag_trajectory(
         orders=orders, delta_rows=delta_rows, rounds=ablation_rounds
     )
-    data["sharding"] = collect_sharding_trajectory(
-        orders=sharding_orders, delta_rows=sharding_delta_rows,
-        rounds=sharding_rounds,
-    )
     data["durability"] = collect_durability_benchmark(
         rows_per_batch=durability_rows, batches=durability_batches,
     )
     data["ingestion_queue"] = collect_ingestion_queue_benchmark(
         bursts=queue_bursts, statements_per_burst=queue_statements,
     )
-    data["adaptive"] = summarize_adaptive(data)
     target = pathlib.Path(path) if path is not None else BENCH_PIPELINE_PATH
     target.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return data
@@ -1139,17 +949,6 @@ def test_pipeline_trajectory_shape(report_lines):
         f"native-expr={expr_best['native_expr']:8.2f}ms  "
         f"speedup={expr['speedup_native_expr_vs_sql_step1']:5.2f}x"
     )
-    shard = data["sharding"]
-    shard_best = {
-        name: cfg["best_seconds"] * 1e3
-        for name, cfg in shard["configs"].items()
-    }
-    report_lines.append(
-        f"E6i shard delta=2000  shards1={shard_best['shards1']:8.2f}ms  "
-        f"shards2={shard_best['shards2']:8.2f}ms  "
-        f"shards4={shard_best['shards4']:8.2f}ms  "
-        f"4-vs-1={shard['speedup_4_shards_vs_1']:5.2f}x"
-    )
     dag = data["view_dag"]
     dag_best = {
         name: cfg["best_seconds"] * 1e3
@@ -1202,17 +1001,6 @@ def test_pipeline_trajectory_shape(report_lines):
     assert expr["speedup_native_expr_vs_sql_step1"] > 0.8, (
         "vectorized expression evaluation regressed against the SQL step 1"
     )
-    assert shard["configs"]["shards1"]["native_steps"] != ["sharded"], (
-        "shards1 must run the per-step pipeline (the honest baseline)"
-    )
-    for name in ("shards2", "shards4"):
-        assert shard["configs"][name]["native_steps"] == ["sharded"]
-        stats = shard["configs"][name]["refresh_stats"]
-        assert stats["refreshes"] > 0 and stats["last_rows_in"] > 0
-    assert shard["speedup_4_shards_vs_1"] >= 2.0, (
-        "sharded refresh at 4 shards should be >= 2x the per-step pipeline "
-        "on the skewed 100k-row config"
-    )
     queue = data["ingestion_queue"]["configs"]
     report_lines.append(
         f"E6k queue burst  "
@@ -1231,32 +1019,6 @@ def test_pipeline_trajectory_shape(report_lines):
         assert counters["drained_rows"] + counters["coalesced_rows"] >= (
             counters["enqueued_rows"] - counters["depth_rows"]
         )
-    adaptive = data["adaptive"]
-    for family, record in adaptive.items():
-        report_lines.append(
-            f"E6j adaptive {family:13s} "
-            f"vs-best={record['vs_best_ratio']:5.2f}x  "
-            f"static-best={record['static_best']}  "
-            f"switches={record['plan_switches']}"
-        )
-    # The planner's contract: converge near the best static plan of
-    # every family (1.25 leaves room for shared-runner noise on top of
-    # the 10% target checked when committing the artifact), and never
-    # get stuck on the worst one where the static gap is real (pipeline
-    # sql-vs-native and sharding 1-vs-4 are multi-x gaps; the expr
-    # family's gap is ~noise, so beats_worst is not meaningful there).
-    for family, record in adaptive.items():
-        assert record["vs_best_ratio"] <= 1.25, (
-            f"adaptive {family} converged {record['vs_best_ratio']:.2f}x "
-            "off the best static config (allowed 1.25x)"
-        )
-        assert record["decisions"] > 0 and record["arms_seen"], (
-            f"adaptive {family} recorded no planner decisions"
-        )
-    for family in ("pipeline", "sharding"):
-        assert adaptive[family]["beats_worst"], (
-            f"adaptive {family} failed to beat the worst static config"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1269,22 +1031,17 @@ BENCH_BASELINE_PATH = pathlib.Path(__file__).resolve().parents[1] / (
 
 
 def measure_gate_metric(orders: int = ORDERS, delta_rows: int = 50,
-                        rounds: int = 5, **flag_overrides) -> dict:
+                        rounds: int = 5) -> dict:
     """The machine-normalized gate metric for the 15k-row join config.
 
     Raw refresh seconds vary wildly across runner hardware, so the gate
     compares the *ratio* of the best full-native refresh to the best full
     recompute of the same view on the same machine — dimensionless, and
-    exactly the quantity the native pipeline exists to shrink.  Extra
-    flag overrides measure variants of the same config (the adaptive
-    gate passes ``adaptive=True`` and triples the rounds).
+    exactly the quantity the native pipeline exists to shrink.
     """
     from repro.workloads import time_call
 
-    con, ext, workload = _build(
-        orders=orders, view=VIEW_BY_CUSTOMER, **flag_overrides
-    )
-    rounds = _config_rounds(flag_overrides, rounds)
+    con, ext, workload = _build(orders=orders, view=VIEW_BY_CUSTOMER)
     recompute_sql = (
         "SELECT o.cust_id, SUM(o.amount) AS revenue, COUNT(*) AS n "
         "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
@@ -1324,23 +1081,5 @@ def test_bench_regression_gate(report_lines):
     )
     assert current["refresh_vs_recompute_ratio"] <= allowed, (
         "full-native refresh regressed >1.5x vs BENCH_baseline.json on the "
-        "15k-row join config"
-    )
-    # Same gate for the adaptive planner: its converged refresh must hold
-    # the committed normalized ratio within the same 1.5x regression band
-    # (a planner that dithers or picks slow arms trips this).
-    adaptive = measure_gate_metric(adaptive=True)
-    adaptive_allowed = (
-        baseline["join_15k_adaptive"]["refresh_vs_recompute_ratio"] * 1.5
-    )
-    report_lines.append(
-        f"E6f gate adaptive ratio="
-        f"{adaptive['refresh_vs_recompute_ratio']:6.3f} "
-        f"(baseline="
-        f"{baseline['join_15k_adaptive']['refresh_vs_recompute_ratio']:6.3f}, "
-        f"allowed<{adaptive_allowed:6.3f})"
-    )
-    assert adaptive["refresh_vs_recompute_ratio"] <= adaptive_allowed, (
-        "adaptive refresh regressed >1.5x vs BENCH_baseline.json on the "
         "15k-row join config"
     )

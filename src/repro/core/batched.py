@@ -238,10 +238,6 @@ class BatchedDeltaStep:
     join_left_key: list[int] = field(default_factory=list)
     join_right_key: list[int] = field(default_factory=list)
     state: IndexedJoinState | None = None
-    # Constructor for the join state, ``(left_key, right_key) -> state``;
-    # the sharded refresh swaps in a hash-partitioned implementation
-    # before initialize() runs.  None selects IndexedJoinState.
-    state_factory: Any = None
     refresh_rounds: int = 0
     # SQL statement labels this step replaces (assigned at plan assembly).
     replaces: frozenset = frozenset()
@@ -301,8 +297,7 @@ class BatchedDeltaStep:
         if not self.is_join:
             return
         left, right = self.model.analysis.tables
-        factory = self.state_factory or IndexedJoinState
-        state = factory(self.join_left_key, self.join_right_key)
+        state = IndexedJoinState(self.join_left_key, self.join_right_key)
         state.load_left(connection.table(left.name).scan())
         state.load_right(connection.table(right.name).scan())
         pending_left = connection.read_delta_batch(self.delta_tables[0])
@@ -1378,39 +1373,7 @@ def build_native_steps(
                 step2.liveness_step = step3
     if 4 in wanted:
         steps.append(NativeTruncateStep(tables=[model.delta_view_table]))
-    if flags.shard_count > 1:
-        # Replace the per-step pipeline with the single sharded refresh
-        # step where the view shape supports it (join views on the
-        # upsert strategy with a fully native pipeline); unsupported
-        # shapes silently keep the per-step selection above, like every
-        # other native fallback.  Imported here: core.sharded composes
-        # the step classes of this module.
-        from repro.core.sharded import try_build_sharded_refresh
-
-        sharded = try_build_sharded_refresh(model, steps)
-        if sharded is not None:
-            return [sharded]
     return steps
-
-
-def build_step2_variants(model: MVModel) -> dict:
-    """Every interchangeable native step-2 kernel for ``model``, keyed by
-    kind ("native-upsert" / "native-regroup" / "native-outer").
-
-    The adaptive planner (:mod:`repro.core.adaptive`) offers these as
-    per-refresh alternatives: all three fold the identical
-    :func:`_column_folds` layout per key, so for key/additive/AVG views
-    they produce byte-identical stored rows and can be swapped round by
-    round.  MIN/MAX views get the upsert form alone — extremum folds
-    and the step-2b retraction pairing exist only there.
-    """
-    if model.minmax_columns():
-        return {"native-upsert": _build_upsert_step(model)}
-    return {
-        "native-upsert": _build_upsert_step(model),
-        "native-regroup": _build_regroup_step(model),
-        "native-outer": _build_outer_merge_step(model),
-    }
 
 
 def _column_folds(model: MVModel) -> tuple[list, list]:

@@ -75,13 +75,6 @@ class CompilerFlags:
                                  expressions compiled through the
                                  vectorized expression evaluator so
                                  steps 1/3 stay native (True)
-    ``shard_count``              partitions of the incremental state by
-                                 group-key hash; > 1 replaces the
-                                 per-step pipeline with the sharded
-                                 refresh step where supported (1)
-    ``parallel_refresh``         run per-shard refresh work on a
-                                 thread pool with a merge barrier
-                                 instead of a serial shard loop (True)
     ``snapshot_reads``           epoch-pin view tables during refresh
                                  so concurrent readers scan a
                                  consistent copy-on-write snapshot
@@ -96,17 +89,6 @@ class CompilerFlags:
                                  subquery result into the compiled
                                  batch predicate, re-seeding on
                                  invalidation (True)
-    ``adaptive``                 pick the refresh plan per round with
-                                 the cost-based adaptive planner
-                                 (core/adaptive.py) instead of the
-                                 static flag settings (False)
-    ``adaptive_epsilon``         exploration rate of the planner's
-                                 epsilon-greedy arm selector (0.1)
-    ``adaptive_history``         how many recent plan decisions
-                                 ``RefreshStats`` retains (16)
-    ``adaptive_seed``            base RNG seed for the per-view arm
-                                 selectors — decisions replay
-                                 deterministically (0)
     ``ingest_queue``             put the bounded async ingestion queue
                                  in front of the capture path: DML
                                  enqueues delta batches, the refresher
@@ -132,14 +114,6 @@ class CompilerFlags:
     ``queue_async``              drain on a background refresher thread
                                  instead of piggybacking on the next
                                  statement (False)
-    ``worker_timeout``           seconds a sharded refresh worker may
-                                 run before the round abandons it; 0
-                                 disables the timeout (0.0)
-    ``worker_retries``           bounded retries of failed/timed-out
-                                 shard workers that have not yet
-                                 mutated shard state (2)
-    ``worker_backoff``           base of the exponential retry backoff,
-                                 seconds (0.01)
     ``degradation_heal_after``   clean refreshes at a demoted rung
                                  before the ladder heals one rung (3)
     ``fault_plan``               deterministic fault-injection schedule
@@ -218,21 +192,6 @@ class CompilerFlags:
     # behaviour: expression-keyed views fall back to the SQL step 1 (and
     # consequently the SQL step 3 where liveness needs source counts).
     native_expr_eval: bool = True
-    # Partition each view's incremental state (join / extrema / liveness
-    # ARTs) into this many shards by hashing the memcomparable group-key
-    # encoding (storage/keys.py).  With > 1 shard and a supported view
-    # shape (LEFT_JOIN_UPSERT, fully native pipeline) the whole refresh
-    # runs as one sharded step: deltas are routed once, every shard
-    # folds its own key range, and a merge barrier applies the combined
-    # writes before step 4.  1 keeps the per-step pipeline untouched.
-    shard_count: int = 1
-    # Execute the per-shard refresh work on a ThreadPoolExecutor (one
-    # worker per shard) with a merge barrier, instead of iterating the
-    # shards serially on the calling thread.  Only consulted when
-    # ``shard_count`` > 1.  Wall-clock parallelism requires a
-    # free-threaded / multi-core runtime; under a single-core GIL build
-    # the sharded path still wins through per-distinct-key folding.
-    parallel_refresh: bool = True
     # Epoch-pin the view table for the duration of a refresh: the first
     # mutation inside the pinned window publishes a copy-on-write row
     # snapshot, so concurrent readers scan a consistent pre-refresh
@@ -255,25 +214,6 @@ class CompilerFlags:
     # insert delta for stored rows whose predicate verdict flipped.  Off
     # rejects subqueries in WHERE with UnsupportedError.
     subquery_snapshot: bool = True
-    # Pick the refresh plan per round: before run_pipeline, the adaptive
-    # planner (core/adaptive.py) ranks the view's interchangeable plan
-    # arms — step-2 kernel (upsert / regroup / outer-merge / SQL), the
-    # stored-liveness step 3 on native vs SQL, serial vs parallel shard
-    # execution — with the analytic cost model (core/costmodel.py) over
-    # cheap per-refresh signals, then lets observed wall-clock feedback
-    # take over per arm (epsilon-greedy).  Stateful choices (native
-    # step 1's join state, the extrema/counter states) are never
-    # switched: they integrate deltas every round and would go stale.
-    # Decisions land in RefreshStats.  Off keeps the static flags.
-    adaptive: bool = False
-    # Exploration rate of the epsilon-greedy arm selector: fraction of
-    # refreshes that try a random arm instead of the current best.
-    adaptive_epsilon: float = 0.1
-    # How many recent plan decisions RefreshStats.decisions retains.
-    adaptive_history: int = 16
-    # Base seed for the per-view selector RNGs (each view XORs in a hash
-    # of its name), so adaptive runs replay deterministically.
-    adaptive_seed: int = 0
     # Put the bounded ingestion queue (core/runtime.py) in front of the
     # delta-capture path: the AFTER triggers enqueue batches instead of
     # writing WAL + ΔT directly, and the refresher drains on batch-size,
@@ -305,24 +245,11 @@ class CompilerFlags:
     # fire without waiting for the next statement).  Off drains
     # synchronously on the statement path — deterministic, the default.
     queue_async: bool = False
-    # Per-shard worker timeout for the sharded refresh, in seconds.  A
-    # worker still running past it is abandoned behind the round token
-    # (it can never mutate shard state afterwards) and retried or
-    # escalated.  0 disables the timeout.
-    worker_timeout: float = 0.0
-    # How many times a failed or timed-out shard worker is retried
-    # (with exponential backoff) before the refresh escalates.  Only
-    # workers that have not yet mutated their shard's state are retried;
-    # a worker that failed mid-mutation always escalates to recompute.
-    worker_retries: int = 2
-    # Base of the exponential retry backoff: attempt k sleeps
-    # worker_backoff * 2**(k-1) seconds.
-    worker_backoff: float = 0.01
     # Degradation ladder: after this many consecutive clean refreshes at
     # a demoted rung, heal one rung back toward the full plan.
     degradation_heal_after: int = 3
     # Deterministic fault-injection schedule (core/faults.FaultPlan),
-    # consulted at wal.append / checkpoint.write / shard.compute /
+    # consulted at wal.append / checkpoint.write / refresh.step /
     # queue.enqueue.  None disables injection.  Runtime-only: never
     # serialized into checkpoints.
     fault_plan: Any = None
@@ -359,10 +286,6 @@ class CompilerFlags:
         """Reject nonsensical knob values up front, with the knob named —
         plan construction would otherwise fail (or silently misbehave)
         several layers down."""
-        if self.shard_count < 1:
-            raise IVMError(
-                f"shard_count must be >= 1, got {self.shard_count}"
-            )
         if self.batch_size < 1:
             raise IVMError(f"batch_size must be >= 1, got {self.batch_size}")
         invalid = set(self.native_steps) - {1, 2, 3, 4}
@@ -370,15 +293,6 @@ class CompilerFlags:
             raise IVMError(
                 "native_steps must be a subset of {1, 2, 3, 4}, got "
                 f"{tuple(sorted(invalid))} in {tuple(self.native_steps)}"
-            )
-        if not 0.0 <= self.adaptive_epsilon <= 1.0:
-            raise IVMError(
-                "adaptive_epsilon must be in [0, 1], got "
-                f"{self.adaptive_epsilon}"
-            )
-        if self.adaptive_history < 1:
-            raise IVMError(
-                f"adaptive_history must be >= 1, got {self.adaptive_history}"
             )
         if self.checkpoint_every < 0:
             raise IVMError(
@@ -407,18 +321,6 @@ class CompilerFlags:
             raise IVMError(
                 "queue_block_timeout must be > 0, got "
                 f"{self.queue_block_timeout}"
-            )
-        if self.worker_timeout < 0:
-            raise IVMError(
-                f"worker_timeout must be >= 0, got {self.worker_timeout}"
-            )
-        if self.worker_retries < 0:
-            raise IVMError(
-                f"worker_retries must be >= 0, got {self.worker_retries}"
-            )
-        if self.worker_backoff < 0:
-            raise IVMError(
-                f"worker_backoff must be >= 0, got {self.worker_backoff}"
             )
         if self.degradation_heal_after < 1:
             raise IVMError(

@@ -74,17 +74,7 @@ class RefreshStats:
     ``last_*`` fields describe the most recent refresh round; totals
     accumulate across rounds.  ``last_rows_moved`` sums the row counts
     reported by the pipeline stages (native ``run()`` returns, SQL
-    rowcounts) — a work measure, not a view-size delta.  The shard skew
-    ratio is max shard load over mean shard load for the last sharded
-    round (1.0 = perfectly balanced; 0.0 when unsharded or idle).
-
-    With the adaptive planner (``CompilerFlags.adaptive``) the stats
-    additionally carry the optimizer's audit trail: ``last_plan`` /
-    ``last_signals`` describe the most recent decision, ``decisions``
-    keeps the last N (``CompilerFlags.adaptive_history``) with their
-    input signals, predicted cost, decision margin, and — once the
-    round finishes — the observed wall seconds, and ``plan_switches``
-    counts rounds whose chosen arm differed from the previous round's.
+    rowcounts) — a work measure, not a view-size delta.
     """
 
     refreshes: int = 0
@@ -93,13 +83,6 @@ class RefreshStats:
     last_step_seconds: dict = field(default_factory=dict)
     last_rows_in: int = 0
     last_rows_moved: int = 0
-    last_shard_skew: float = 0.0
-    # Adaptive-planner audit trail (empty / None when adaptive is off).
-    last_plan: dict | None = None
-    last_signals: dict | None = None
-    decisions: list = field(default_factory=list)
-    plan_switches: int = 0
-    decision_history: int = 16
     # Robustness-runtime audit trail: structured events (degradation
     # ladder demote/heal, refresh failures, recompute fallbacks, shed
     # batches) appended by the extension, newest last, capped at
@@ -127,49 +110,11 @@ class RefreshStats:
         )
         self.last_rows_moved += int(rows)
 
-    def finish_round(
-        self, wall_seconds: float, rows_in: int, shard_skew: float
-    ) -> None:
+    def finish_round(self, wall_seconds: float, rows_in: int) -> None:
         self.refreshes += 1
         self.last_wall_seconds = wall_seconds
         self.total_wall_seconds += wall_seconds
         self.last_rows_in = int(rows_in)
-        self.last_shard_skew = float(shard_skew)
-
-    def record_decision(
-        self,
-        plan: dict,
-        signals: dict,
-        predicted_cost: float,
-        margin: float,
-        explored: bool,
-        regime_shift: bool,
-    ) -> None:
-        """Log one adaptive-planner decision (before the round runs);
-        :meth:`close_decision` fills in the observed wall time after."""
-        if self.last_plan is not None and self.last_plan.get(
-            "arm"
-        ) != plan.get("arm"):
-            self.plan_switches += 1
-        self.last_plan = dict(plan)
-        self.last_signals = dict(signals)
-        self.decisions.append(
-            {
-                "plan": dict(plan),
-                "signals": dict(signals),
-                "predicted_cost": float(predicted_cost),
-                "margin": float(margin),
-                "explored": bool(explored),
-                "regime_shift": bool(regime_shift),
-                "wall_seconds": None,
-            }
-        )
-        del self.decisions[: -self.decision_history]
-
-    def close_decision(self, wall_seconds: float) -> None:
-        """Attach the observed wall time to the last recorded decision."""
-        if self.decisions:
-            self.decisions[-1]["wall_seconds"] = float(wall_seconds)
 
     def record_event(self, kind: str, **detail) -> dict:
         """Append one structured robustness event (``demote``, ``heal``,
@@ -194,15 +139,6 @@ class RefreshStats:
             "last_step_seconds": dict(self.last_step_seconds),
             "last_rows_in": self.last_rows_in,
             "last_rows_moved": self.last_rows_moved,
-            "last_shard_skew": self.last_shard_skew,
-            "last_plan": None
-            if self.last_plan is None
-            else dict(self.last_plan),
-            "last_signals": None
-            if self.last_signals is None
-            else dict(self.last_signals),
-            "decisions": [dict(entry) for entry in self.decisions],
-            "plan_switches": self.plan_switches,
             "events": [dict(event) for event in self.events],
             "degradation_rung": self.degradation_rung,
             "queue": None if self.queue is None else dict(self.queue),
@@ -258,6 +194,7 @@ def run_pipeline(
     execute: Callable,
     skip_label: Callable[[str], bool] | None = None,
     stats: RefreshStats | None = None,
+    fault_plan=None,
 ) -> None:
     """Run a propagation plan with per-step native/SQL selection.
 
@@ -270,7 +207,9 @@ def run_pipeline(
 
     With ``stats``, each stage's wall time and reported row count are
     recorded under the step name (native) or the label's step prefix
-    (SQL).
+    (SQL).  With ``fault_plan``, the ``refresh.step`` site is consulted
+    immediately before each native step runs, so an injected fault can
+    land after an earlier step has already integrated its state.
     """
     by_label: dict[str, NativeStep] = {}
     for step in native_steps:
@@ -293,6 +232,8 @@ def run_pipeline(
                 )
         elif id(step) not in ran:
             ran.add(id(step))
+            if fault_plan is not None:
+                fault_plan.check("refresh.step", step=step.name)
             started = time.perf_counter()
             rows = step.run(connection)
             if stats is not None:

@@ -27,10 +27,9 @@ IVM capture path:
     under capacity the policy degrades to ``block``.
 
 * :class:`DegradationLadder` — the escalating response to repeated
-  refresh failures: ``parallel-sharded → serial-sharded → unsharded
-  (SQL fallback) → full recompute``, one rung per failure, healing one
-  rung back after N consecutive clean refreshes.  Every demotion and
-  heal is recorded as a structured event in
+  refresh failures: ``native → sql → recompute``, one rung per
+  failure, healing one rung back after N consecutive clean refreshes.
+  Every demotion and heal is recorded as a structured event in
   :class:`~repro.core.propagate.RefreshStats`.
 
 * :class:`RefreshDaemon` — the optional background refresher thread
@@ -56,11 +55,10 @@ from repro.errors import BackpressureError
 from repro.storage.keys import encode_key
 
 # Degradation-ladder rungs, mildest to most degraded.
-RUNG_PARALLEL = 0  # full plan: sharded parallel / native pipeline
-RUNG_SERIAL = 1  # sharded refresh on the calling thread, no pool
-RUNG_UNSHARDED = 2  # per-statement SQL fallback (native steps disabled)
-RUNG_RECOMPUTE = 3  # every refresh is a full recompute
-RUNG_NAMES = ("parallel", "serial", "unsharded", "recompute")
+RUNG_NATIVE = 0  # the compiled plan: native steps, SQL where they lack
+RUNG_SQL = 1  # the compiled SQL script alone (native steps disabled)
+RUNG_RECOMPUTE = 2  # every refresh is a full recompute
+RUNG_NAMES = ("native", "sql", "recompute")
 
 
 @dataclass
@@ -367,16 +365,15 @@ class DegradationLadder:
     One failed refresh demotes one rung; ``heal_after`` consecutive
     clean refreshes at a demoted rung heal one rung back.  The extension
     translates the rung into a plan: rung 0 runs the compiled plan
-    (sharded parallel where available), rung 1 forces serial shard
-    execution, rung 2 disables the native steps entirely (the compiled
-    SQL script is the always-available unsharded fallback), and rung 3
-    rebuilds the view from the base tables every round.  Demotions and
-    heals are appended to the view's RefreshStats event log by the
-    caller.
+    (native steps, SQL for the steps they do not cover), rung 1
+    disables the native steps entirely (the compiled SQL script is the
+    always-available fallback), and rung 2 rebuilds the view from the
+    base tables every round.  Demotions and heals are appended to the
+    view's RefreshStats event log by the caller.
     """
 
     heal_after: int = 3
-    rung: int = RUNG_PARALLEL
+    rung: int = RUNG_NATIVE
     consecutive_clean: int = 0
     demotions: int = 0
     heals: int = 0
@@ -399,7 +396,7 @@ class DegradationLadder:
         """One refresh succeeded; heal one rung after ``heal_after``
         consecutive cleans.  Returns ``(from_rung, to_rung)`` when a
         heal happened, else None."""
-        if self.rung == RUNG_PARALLEL:
+        if self.rung == RUNG_NATIVE:
             self.consecutive_clean = 0
             return None
         self.consecutive_clean += 1

@@ -1,671 +1,7 @@
-"""Sharded parallel refresh: the whole propagation pipeline as one step.
+"""Placeholder for the deleted sharded refresh.
 
-The per-step pipeline of :mod:`repro.core.batched` runs strictly
-serially over each view's single incremental state — one hot group-key
-range bottlenecks the whole refresh.  This module partitions that state
-by key hash into N shards (:func:`repro.zset.incremental.shard_of` over
-the memcomparable encoding of :mod:`repro.storage.keys`) and replaces
-the four-step script with a single :class:`ShardedRefresh` NativeStep
-whose ``step_prefix`` ``"step"`` claims every statement label, so
-``run_pipeline`` needs no new plumbing.
-
-One refresh round runs in three phases:
-
-1. **delta compute** (step 1): the captured ΔT batches are routed to
-   shards by join-key hash; each shard probes and integrates its own
-   pair of side ARTs and carries the round through filter, computed
-   columns, and per-sign aggregation.  Shards run on a
-   ``ThreadPoolExecutor`` when ``CompilerFlags.parallel_refresh`` is on.
-   A merge barrier concatenates the per-shard ΔV contributions — kept
-   in memory, never staged through the ΔV table (the equivalence
-   contract in :mod:`repro.core.batched` already lets transient ΔV
-   contents differ; step 4 clears it regardless).
-2. **fold** (steps 2 / 2b / 3): ΔV entries and the source-level
-   liveness/extrema feeds are re-routed by *group*-key hash; each shard
-   folds its groups against the stored view rows (reads only), decides
-   step 3 deletions from the folded liveness, and repairs
-   retraction-touched MIN/MAX columns from its slice of the sharded
-   extrema state.
-3. **merge** (barrier before step 4): the calling thread applies the
-   combined upserts and deletes in one pass, then truncates the ΔV
-   staging table.  All view-table writes happen here, single-threaded,
-   which is what lets the fold workers read the table lock-free and the
-   snapshot pin (``storage/table.py``) treat the refresher as a single
-   owner thread.
-
-On a single-core GIL build the executor adds no wall-clock parallelism;
-the sharded path still beats the per-step pipeline because routing
-groups every delta by key first, so each distinct key pays one encoding
-and one ART descent instead of one per row (see
-``ShardedJoinState.apply_shard``), and because ΔV skips the staging
-round-trip.  Free-threaded builds get the shard-level parallelism on
-top.
-
-Views outside the supported shape — single-table views, non-upsert
-strategies, paper-mode liveness, shapes whose step 1 falls back to SQL
-— silently keep the per-step pipeline (``try_build_sharded_refresh``
-returns None), exactly like every other native-step fallback.
+Every view refreshes through the one per-step pipeline of
+:mod:`repro.core.batched`.  This module stays, empty, only because the
+span tracer in ``bench/tracing.py`` imports it when it installs its
+wrappers; a change to the benchmark harness deletes both together.
 """
-
-from __future__ import annotations
-
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
-
-from repro.errors import WorkerTimeoutError
-
-from repro.core.batched import (
-    BatchedDeltaStep,
-    NativeLivenessStep,
-    NativeRescanStep,
-    NativeUpsertStep,
-    _derive_avg_folds,
-)
-from repro.core.model import MVModel
-from repro.execution.aggregates import (
-    grouped_minmax,
-    grouped_weighted_sum,
-    merge_additive,
-    merge_minmax,
-)
-from repro.execution.expression import batch_eval, true_mask
-from repro.storage.keys import encode_key
-from repro.zset.batch import ZSetBatch
-from repro.zset.incremental import (
-    ShardedExtremaState,
-    ShardedJoinState,
-    ShardedLivenessState,
-    shard_of,
-)
-from repro.zset.operators import batch_aggregate, batch_filter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.connection import Connection
-
-
-class _StaleRoundError(Exception):
-    """A worker from an abandoned round token-fenced itself off before
-    mutating shard state.  Only ever raised on an abandoned pool's
-    future, whose result nobody reads."""
-
-
-def try_build_sharded_refresh(
-    model: MVModel, steps: list
-) -> "ShardedRefresh | None":
-    """A :class:`ShardedRefresh` composed from the per-step pipeline, or
-    None when the view shape is outside the sharded surface.
-
-    Requirements: a native join step 1 (deltas must be routable by join
-    key and the side state swappable), the upsert step 2 (the only
-    strategy whose fold is a per-key merge rather than a table rebuild),
-    a non-paper-mode step 3, step 4, and — for MIN/MAX views — the
-    native step 2b (the sharded fold repairs retractions from the
-    extrema state, so the SQL rescan must not be needed).
-    """
-    by_name: dict[str, Any] = {}
-    for step in steps:
-        by_name.setdefault(step.name, step)
-    step1 = by_name.get("step1")
-    step2 = by_name.get("step2")
-    step2b = by_name.get("step2b")
-    step3 = by_name.get("step3")
-    if not isinstance(step1, BatchedDeltaStep) or not step1.is_join:
-        return None
-    if not isinstance(step2, NativeUpsertStep):
-        return None
-    if (
-        not isinstance(step3, NativeLivenessStep)
-        or step3.paper_predicate is not None
-    ):
-        return None
-    if by_name.get("step4") is None:
-        return None
-    if model.minmax_columns() and not isinstance(step2b, NativeRescanStep):
-        return None
-    flags = model.flags
-    return ShardedRefresh(
-        model=model,
-        step1=step1,
-        step2=step2,
-        step3=step3,
-        step2b=step2b if isinstance(step2b, NativeRescanStep) else None,
-        shard_count=flags.shard_count,
-        parallel=flags.parallel_refresh,
-    )
-
-
-@dataclass
-class ShardedRefresh:
-    """The full 4-step refresh over hash-partitioned incremental state.
-
-    Composes the already-built per-step objects: their *specs* (fold
-    layouts, key ordinals, extrema columns, seeding SQL) drive the
-    sharded execution; their ``run()`` methods are never called.  Their
-    three ART states are swapped for the sharded wrappers of
-    :mod:`repro.zset.incremental` before ``initialize`` seeds them.
-    """
-
-    name = "sharded"
-    # Claims every "stepN:..." label of the compiled script, replacing
-    # the whole SQL program with one run() call.
-    step_prefix = "step"
-    # Seeds join/extrema/liveness state from base-table scans (and is
-    # thereby excluded from the HTAP pipeline, whose bases are remote).
-    requires_base_tables = True
-
-    model: MVModel
-    step1: BatchedDeltaStep
-    step2: NativeUpsertStep
-    step3: NativeLivenessStep
-    step2b: NativeRescanStep | None = None
-    shard_count: int = 2
-    parallel: bool = True
-    replaces: frozenset = frozenset()
-    # Diagnostics for RefreshStats: step-1 delta rows routed per shard
-    # last round, ΔT rows consumed, and per-phase wall seconds.
-    last_shard_loads: list = field(default_factory=list)
-    last_rows_in: int = 0
-    last_step_seconds: dict = field(default_factory=dict)
-    _pool: Any = field(default=None, repr=False, compare=False)
-    # Mutation-token fencing (see _map): the round token is bumped to
-    # invalidate stragglers from a timed-out attempt; _mutated records
-    # which shards touched their state this round (retry barrier).
-    _token: int = field(default=0, repr=False, compare=False)
-    _round_lock: Any = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-    _mutated: set = field(default_factory=set, repr=False, compare=False)
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def set_parallel(self, parallel: bool) -> None:
-        """Adaptive-planner hook: choose pooled vs serial shard execution
-        for the next ``run()``.  Free to flip per refresh — the routing,
-        folds and merge barrier are identical either way, only the
-        executor changes (the pool is created lazily and kept)."""
-        self.parallel = bool(parallel)
-
-    def prepare_states(self) -> None:
-        """Swap the composed steps' state slots for the sharded wrappers
-        (without seeding them) — shared by :meth:`initialize` and the
-        checkpoint-restore path, which loads dumped images instead of
-        recomputing from the base tables."""
-        count = self.shard_count
-        self.step1.state_factory = lambda left, right: ShardedJoinState(
-            left, right, shard_count=count
-        )
-        if self.step2b is not None:
-            for source in self.step2b.sources.values():
-                source.state = ShardedExtremaState(count)
-        if self.step3.counters is not None:
-            self.step3.counters = ShardedLivenessState(count)
-
-    def initialize(self, connection: "Connection") -> None:
-        self.prepare_states()
-        self.step1.initialize(connection)
-        if self.step2b is not None:
-            self.step2b.initialize(connection)
-        self.step3.initialize(connection)
-
-    # -- execution ----------------------------------------------------------
-
-    def run(self, connection: "Connection") -> int:
-        step_seconds: dict[str, float] = {}
-        started = time.perf_counter()
-        delta_view = self._compute_delta_view(connection)
-        step_seconds["step1"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        upserts, dead = self._fold(connection, delta_view)
-        step_seconds["fold"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        written = 0
-        if upserts:
-            written += connection.upsert_rows(self.step2.mv_table, upserts)
-        if dead:
-            written += connection.delete_keys(self.step2.mv_table, dead)
-        connection.truncate_table(self.model.delta_view_table)
-        step_seconds["merge"] = time.perf_counter() - started
-        self.last_step_seconds = step_seconds
-        return written
-
-    def _map(self, fn) -> list:
-        """Run ``fn(shard, token)`` for every shard — on the worker pool
-        with a barrier when parallel, else serially on the calling
-        thread — with per-attempt timeouts and bounded retry.
-
-        The retry protocol is built on mutation tokens: each ``_map``
-        round takes a fresh generation token; workers must pass it to
-        :meth:`_begin_mutation` immediately before their first
-        shard-state write.  That gives three guarantees:
-
-        * **Safe retries.**  Only shards that never reached
-          ``_begin_mutation`` are retried (with exponential backoff,
-          ``worker_backoff * 2**(attempt-1)``), so a transient failure
-          injected or raised *before* the state write replays without
-          double-applying deltas.  A shard that failed or hung *after*
-          mutating poisons the round — the error propagates and the
-          caller's degradation ladder / recompute self-heal takes over.
-        * **Fenced stragglers.**  When an attempt exceeds
-          ``CompilerFlags.worker_timeout``, the token is bumped under
-          the round lock and the pool is abandoned
-          (``shutdown(wait=False, cancel_futures=True)``); a hung
-          worker that later wakes sees the stale token inside
-          ``_begin_mutation`` and aborts *before* touching shard state.
-          The retry runs on a fresh pool.
-        * **No leaked threads behind a rollback.**  Every raise out of
-          this method first bumps the token and abandons the pool, so a
-          failed parallel refresh cannot leave futures running that
-          mutate shard state while the caller unwinds and reseeds.
-        """
-        count = self.shard_count
-        flags = self.model.flags
-        retries = int(getattr(flags, "worker_retries", 0))
-        backoff = float(getattr(flags, "worker_backoff", 0.0))
-        timeout = float(getattr(flags, "worker_timeout", 0.0)) or None
-
-        with self._round_lock:
-            self._token += 1
-            token = self._token
-            self._mutated = set()
-
-        results: list = [None] * count
-        pending = list(range(count))
-        last_error: Exception | None = None
-        for attempt in range(retries + 1):
-            if attempt and backoff > 0:
-                time.sleep(backoff * (2 ** (attempt - 1)))
-            if self.parallel and count > 1:
-                failures, hung = self._run_parallel(
-                    fn, pending, token, results, timeout
-                )
-            else:
-                failures, hung = self._run_serial(fn, pending, token, results)
-            if not failures and not hung:
-                return results
-            if hung:
-                with self._round_lock:
-                    self._token += 1
-                    token = self._token
-                    mutated = set(self._mutated)
-                self._abandon_pool()
-                stuck = sorted(s for s in hung if s in mutated)
-                if stuck:
-                    raise WorkerTimeoutError(
-                        f"shard worker(s) {stuck} exceeded "
-                        f"worker_timeout={flags.worker_timeout}s after "
-                        "mutating shard state; the round cannot be retried",
-                        shards=tuple(stuck),
-                    )
-            else:
-                with self._round_lock:
-                    mutated = set(self._mutated)
-            for s in sorted(failures):
-                error = failures[s]
-                if s in mutated or not getattr(error, "retryable", True):
-                    self._fence_and_abandon()
-                    raise error
-                last_error = error
-            pending = sorted(set(failures) | set(hung))
-        self._fence_and_abandon()
-        if last_error is not None:
-            raise last_error
-        raise WorkerTimeoutError(
-            f"shard worker(s) {pending} still unresponsive after "
-            f"{retries} retries (worker_timeout="
-            f"{flags.worker_timeout}s per attempt)",
-            shards=tuple(pending),
-        )
-
-    def _run_parallel(
-        self, fn, shards: list, token: int, results: list, timeout
-    ) -> tuple[dict, list]:
-        """One pooled attempt over ``shards``.  Returns
-        ``(failures: {shard: exc}, hung: [shard])``; successful shards
-        write straight into ``results``."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.shard_count, thread_name_prefix="ivm-shard"
-            )
-        futures = {
-            self._pool.submit(self._attempt, fn, s, token): s for s in shards
-        }
-        done, not_done = wait(futures, timeout=timeout)
-        failures: dict = {}
-        for future in done:
-            shard = futures[future]
-            error = future.exception()
-            if error is not None:
-                failures[shard] = error
-            else:
-                results[shard] = future.result()
-        return failures, [futures[future] for future in not_done]
-
-    def _run_serial(
-        self, fn, shards: list, token: int, results: list
-    ) -> tuple[dict, list]:
-        """One serial attempt (no pool, so nothing can hang the caller;
-        the timeout only applies to pooled attempts)."""
-        failures: dict = {}
-        for shard in shards:
-            try:
-                results[shard] = self._attempt(fn, shard, token)
-            except Exception as error:  # collected for the retry loop
-                failures[shard] = error
-        return failures, []
-
-    def _attempt(self, fn, shard: int, token: int):
-        """Worker entry: consult the fault plan (the ``shard.compute``
-        site fires *before* any state mutation, so injected errors and
-        latency are always retry-safe), then run the phase function."""
-        plan = getattr(self.model.flags, "fault_plan", None)
-        if plan is not None:
-            plan.check("shard.compute", shard=shard)
-        return fn(shard, token)
-
-    def _begin_mutation(self, shard: int, token: int) -> None:
-        """Called by a worker immediately before its first shard-state
-        write.  A stale token means the round was abandoned while this
-        worker hung — abort without mutating (the raise surfaces only
-        on the abandoned pool's future, which nobody reads)."""
-        with self._round_lock:
-            if token != self._token:
-                raise _StaleRoundError(
-                    f"shard {shard} worker outlived its refresh round"
-                )
-            self._mutated.add(shard)
-
-    def _fence_and_abandon(self) -> None:
-        """Invalidate outstanding workers and drop the pool — the
-        failure path of a refresh round (see _map's contract)."""
-        with self._round_lock:
-            self._token += 1
-        self._abandon_pool()
-
-    def _abandon_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # -- phase 1: sharded delta compute --------------------------------------
-
-    def _compute_delta_view(self, connection: "Connection") -> ZSetBatch:
-        s1 = self.step1
-        s1.refresh_rounds += 1
-        batches = [
-            connection.read_delta_batch(name) for name in s1.delta_tables
-        ]
-        self.last_rows_in = sum(len(batch) for batch in batches)
-        state = s1.state
-        parts_left = state.route_left(batches[0])
-        parts_right = state.route_right(batches[1])
-
-        def shard_delta(shard: int, token: int):
-            return self._shard_delta(
-                connection, shard, token, parts_left[shard], parts_right[shard]
-            )
-
-        shard_sources = self._map(shard_delta)
-        self.last_shard_loads = list(state.last_shard_loads)
-
-        # Merge barrier: feed the liveness/extrema pendings (drained and
-        # re-routed by group key in the fold phase) and aggregate each
-        # shard's contribution into the in-memory ΔV batch.
-        parts: list[ZSetBatch] = []
-        for source in shard_sources:
-            if source is None or len(source) == 0:
-                continue
-            if s1.liveness_step is not None:
-                _, keys, net = source.group_structure(s1.key_ordinals)
-                s1.liveness_step.absorb(keys, net)
-            if s1.extrema_step is not None:
-                s1.extrema_step.absorb(source, s1.key_ordinals)
-            positive, negative = source.split_signs()
-            for partition, sign in ((positive, 1), (negative, -1)):
-                if len(partition) == 0:
-                    continue
-                aggregated = batch_aggregate(
-                    partition, s1.key_ordinals, s1.functions
-                )
-                columns = [
-                    aggregated.columns[j] for j in s1.output_permutation
-                ]
-                weights = np.full(len(aggregated), sign, dtype=np.int64)
-                parts.append(ZSetBatch(columns, weights))
-        delta_view = ZSetBatch.empty(len(s1.output_permutation))
-        for part in parts:
-            delta_view = delta_view + part
-        return delta_view
-
-    def _shard_delta(
-        self,
-        connection: "Connection",
-        shard: int,
-        token: int,
-        dl_groups: dict,
-        dr_groups: dict,
-    ) -> ZSetBatch | None:
-        """One shard's consolidated source-level ΔV contribution (join →
-        filter → computed columns) from its routed, key-grouped delta
-        entries.  Runs on a worker thread; touches only shard-local
-        state and read-only catalog metadata."""
-        s1 = self.step1
-        self._begin_mutation(shard, token)
-        source = s1.state.apply_shard(shard, dl_groups, dr_groups)
-        ctx = None
-        if s1.where_eval is not None and len(source):
-            ctx = s1._context(connection)
-            source = batch_filter(
-                source,
-                mask=true_mask(batch_eval(s1.where_eval, source, ctx)),
-            )
-        if len(source) == 0:
-            return None
-        source = s1._with_computed_columns(source, connection, ctx)
-        return source.consolidate()
-
-    # -- phase 2: sharded fold (steps 2 / 2b / 3) ----------------------------
-
-    def _fold(
-        self, connection: "Connection", delta_view: ZSetBatch
-    ) -> tuple[list[tuple], list[tuple]]:
-        s2, s3, s2b = self.step2, self.step3, self.step2b
-        count = self.shard_count
-
-        # Drain the step-1 feeds and re-route them by group-key hash so
-        # every fold worker owns a disjoint slice of the shared states.
-        live_parts = None
-        if s3.counters is not None and s3.pending:
-            keys = [key for key, _ in s3.pending]
-            nets = [net for _, net in s3.pending]
-            s3.pending.clear()
-            live_parts = s3.counters.route(keys, nets)
-        extrema_parts: dict[int, list] = {}
-        touched_parts: list[set] = [set() for _ in range(count)]
-        if s2b is not None:
-            for ordinal, extrema in s2b.sources.items():
-                flat_keys: list[tuple] = []
-                flat_values: list = []
-                flat_nets: list[int] = []
-                for gv_keys, nets in extrema.pending:
-                    for gv, net in zip(gv_keys, nets):
-                        flat_keys.append(gv[:-1])
-                        flat_values.append(gv[-1])
-                        flat_nets.append(int(net))
-                extrema.pending.clear()
-                extrema_parts[ordinal] = extrema.state.route(
-                    flat_keys, flat_values, flat_nets
-                )
-            for key in s2b.pending_touched:
-                touched_parts[shard_of(encode_key(key), count)].add(key)
-            s2b.pending_touched.clear()
-        # Step 2's absorb_keys handoff is unused here (the fold decides
-        # liveness in place); drop anything a previous SQL round left.
-        s3.pending_keys.clear()
-
-        if len(delta_view) == 0 and live_parts is None and not extrema_parts:
-            return [], []
-
-        # Route ΔV entries by group-key hash.
-        if len(delta_view):
-            ids, keys, _ = delta_view.group_structure(s2.key_positions)
-            shard_per_group = np.empty(len(keys), dtype=np.int64)
-            for g, key in enumerate(keys):
-                shard_per_group[g] = shard_of(encode_key(key), count)
-            entry_shards = shard_per_group[ids]
-            delta_parts = [
-                delta_view.mask(entry_shards == i) for i in range(count)
-            ]
-        else:
-            delta_parts = [delta_view for _ in range(count)]
-
-        def fold(shard: int, token: int):
-            return self._shard_fold(
-                connection,
-                shard,
-                token,
-                delta_parts[shard],
-                None if live_parts is None else live_parts[shard],
-                {
-                    ordinal: parts[shard]
-                    for ordinal, parts in extrema_parts.items()
-                },
-                touched_parts[shard],
-            )
-
-        results = self._map(fold)
-        upserts: list[tuple] = []
-        dead: list[tuple] = []
-        for shard_rows, shard_dead in results:
-            upserts.extend(shard_rows)
-            dead.extend(shard_dead)
-        return upserts, dead
-
-    def _shard_fold(
-        self,
-        connection: "Connection",
-        shard: int,
-        token: int,
-        batch: ZSetBatch,
-        live_part,
-        extrema_part: dict,
-        touched: set,
-    ) -> tuple[list[tuple], list[tuple]]:
-        """Fold one shard's ΔV slice into merged view rows (no writes).
-
-        Mirrors ``NativeUpsertStep.run`` group by group, with steps 2b
-        and 3 folded into the row decision: retraction-touched MIN/MAX
-        columns take the authoritative extremum from the shard's extrema
-        state, and groups whose folded liveness dropped to zero become
-        deletions instead of upserts (the unsharded pipeline upserts the
-        dead row and deletes it one step later — same final view).
-        """
-        s2, s3, s2b = self.step2, self.step3, self.step2b
-
-        dead_from_counters: set = set()
-        if live_part is not None:
-            part_keys, part_nets = live_part
-            if part_keys:
-                self._begin_mutation(shard, token)
-                dead_from_counters = set(
-                    s3.counters.apply_shard(shard, part_keys, part_nets)
-                )
-        if s2b is not None:
-            for ordinal, (e_keys, e_values, e_nets) in extrema_part.items():
-                if e_keys:
-                    self._begin_mutation(shard, token)
-                    s2b.sources[ordinal].state.apply_shard(
-                        shard, e_keys, e_values, e_nets
-                    )
-
-        rows: list[tuple] = []
-        dead: list[tuple] = []
-        if len(batch) == 0:
-            dead.extend(dead_from_counters)
-            return rows, dead
-
-        ids, keys, _ = batch.group_structure(s2.key_positions)
-        num_groups = len(keys)
-        positive = batch.weights > 0
-        pos_ids = ids[positive]
-        pos_weights = batch.weights[positive]
-        collapsed: dict[int, list] = {}
-        for fold in s2.folds:
-            if fold.kind == "additive":
-                collapsed[fold.delta_pos] = grouped_weighted_sum(
-                    ids, batch.columns[fold.delta_pos], batch.weights,
-                    num_groups,
-                )
-            elif fold.kind in ("min", "max"):
-                collapsed[fold.delta_pos] = grouped_minmax(
-                    pos_ids, batch.columns[fold.delta_pos][positive],
-                    pos_weights, num_groups, want_max=(fold.kind == "max"),
-                )
-
-        table = connection.table(s2.mv_table)
-        liveness_ordinal = s3.liveness_ordinal
-        seen: set = set()
-        for g, key in enumerate(keys):
-            seen.add(key)
-            stored = table.pk_lookup(key)
-            new: dict[str, Any] = {}
-            for fold in s2.folds:
-                if fold.kind == "key":
-                    new[fold.name] = key[fold.key_index]
-                elif fold.kind == "additive":
-                    new[fold.name] = merge_additive(
-                        None if stored is None else stored[fold.stored_ordinal],
-                        collapsed[fold.delta_pos][g],
-                    )
-                elif fold.kind in ("min", "max"):
-                    new[fold.name] = merge_minmax(
-                        None if stored is None else stored[fold.stored_ordinal],
-                        collapsed[fold.delta_pos][g],
-                        want_max=(fold.kind == "max"),
-                    )
-            _derive_avg_folds(s2.folds, new)
-            row = [new[fold.name] for fold in s2.folds]
-            if liveness_ordinal is not None:
-                count_value = row[liveness_ordinal]
-                if count_value is not None and count_value <= 0:
-                    dead.append(key)
-                    continue
-            elif s3.counters is not None and key in dead_from_counters:
-                dead.append(key)
-                continue
-            if s2b is not None and key in touched:
-                for column in s2b.columns:
-                    state = s2b.sources[column.value_ordinal].state
-                    row[column.stored_ordinal] = state.extremum(
-                        key, column.want_max
-                    )
-            rows.append(tuple(row))
-
-        # Parity with the standalone rescan: touched groups without a ΔV
-        # entry this round (cannot normally occur — every retraction
-        # leaves a negative ΔV row — but cheap to keep exact).
-        if s2b is not None:
-            for key in touched:
-                if key in seen:
-                    continue
-                stored = table.pk_lookup(key)
-                if stored is None or stored[s2b.liveness_ordinal] <= 0:
-                    continue
-                row = list(stored)
-                changed = False
-                for column in s2b.columns:
-                    state = s2b.sources[column.value_ordinal].state
-                    value = state.extremum(key, column.want_max)
-                    if row[column.stored_ordinal] != value:
-                        row[column.stored_ordinal] = value
-                        changed = True
-                if changed:
-                    rows.append(tuple(row))
-        dead.extend(key for key in dead_from_counters if key not in seen)
-        return rows, dead

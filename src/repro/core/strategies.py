@@ -39,21 +39,6 @@ _TOUCHED_ALIAS = "_duckdb_ivm_touched"
 STEP2_UPSERT_LABEL = "step2: upsert delta into view"
 STEP2B_RESCAN_LABEL = "step2b: rescan MIN/MAX groups touched by deletions"
 
-# The adaptive planner's name for each strategy's native step-2 kernel
-# (the SQL statement form is "sql" for all three); shared with the cost
-# model so plan shapes and kernels can never drift apart.
-STEP2_KINDS = {
-    MaterializationStrategy.LEFT_JOIN_UPSERT: "native-upsert",
-    MaterializationStrategy.UNION_REGROUP: "native-regroup",
-    MaterializationStrategy.FULL_OUTER_JOIN: "native-outer",
-}
-
-
-def step2_kind(strategy: MaterializationStrategy) -> str:
-    """Kind name of ``strategy``'s native step-2 kernel (see STEP2_KINDS)."""
-    return STEP2_KINDS[strategy]
-
-
 def delta_column_plan(model: MVModel) -> list[tuple[MVColumn, str]]:
     """How each delta-view column participates in ΔV folding.
 

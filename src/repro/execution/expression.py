@@ -201,12 +201,7 @@ def _compile_binary(expr: BoundBinary) -> Evaluator:
         return div
     if op == "%":
         def mod(row, ctx):
-            lhs, rhs = left(row, ctx), right(row, ctx)
-            if lhs is None or rhs is None:
-                return None
-            if rhs == 0:
-                raise ExecutionError("modulo by zero")
-            return math.fmod(lhs, rhs) if isinstance(lhs, float) or isinstance(rhs, float) else lhs % rhs
+            return _sql_mod(left(row, ctx), right(row, ctx))
         return mod
     raise ExecutionError(f"unknown binary operator {op!r}")
 
@@ -419,7 +414,7 @@ _FUNCTIONS: dict[str, Callable[[list], Any]] = {
     "NULLIF": lambda a: None if sql_compare(a[0], a[1]) == 0 else a[0],
     "GREATEST": lambda a: max((x for x in a if x is not None), default=None),
     "LEAST": lambda a: min((x for x in a if x is not None), default=None),
-    "MOD": _null_guard(lambda a: a[0] % a[1]),
+    "MOD": lambda a: _sql_mod(a[0], a[1]),
     "POWER": _null_guard(lambda a: float(a[0]) ** float(a[1])),
     "POW": _null_guard(lambda a: float(a[0]) ** float(a[1])),
     "SQRT": _null_guard(lambda a: math.sqrt(a[0])),
@@ -688,14 +683,20 @@ def _k_div(lhs, rhs):
 
 
 @_binary_kernel("%")
-def _k_mod(lhs, rhs):
+def _sql_mod(lhs, rhs):
+    """``lhs % rhs`` as SQL computes it, for the row evaluator, the batch
+    kernel and ``MOD()`` alike: NULL in gives NULL, a zero divisor is an
+    error, and the remainder takes the sign of the dividend (DuckDB,
+    PostgreSQL and SQLite truncate; Python's ``%`` floors and takes the
+    divisor's sign)."""
     if lhs is None or rhs is None:
         return None
     if rhs == 0:
         raise ExecutionError("modulo by zero")
     if isinstance(lhs, float) or isinstance(rhs, float):
         return math.fmod(lhs, rhs)
-    return lhs % rhs
+    remainder = abs(lhs) % abs(rhs)
+    return -remainder if lhs < 0 else remainder
 
 
 def _comparison_kernel(op: str):

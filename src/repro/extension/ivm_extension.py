@@ -29,25 +29,20 @@ Usage::
 
 from __future__ import annotations
 
-import math
 import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.adaptive import AdaptivePlanner, build_plan_arms, planner_seed
 from repro.core.compiler import CompiledView, OpenIVMCompiler
-from repro.core.costmodel import RefreshSignals
 from repro.core.dag import ViewDependencyGraph
 from repro.core.flags import CompilerFlags, PropagationMode
 from repro.core.propagate import RefreshStats, run_pipeline
 from repro.core.runtime import (
     RUNG_NAMES,
-    RUNG_PARALLEL,
     RUNG_RECOMPUTE,
-    RUNG_SERIAL,
-    RUNG_UNSHARDED,
+    RUNG_SQL,
     DegradationLadder,
     IngestQueue,
     RefreshDaemon,
@@ -76,20 +71,15 @@ class _ViewState:
     # Propagation statements parsed once at CREATE time (labels preserved),
     # so a refresh skips re-parsing the stored scripts.
     prepared: list[tuple[str, ast.Statement]] = None
-    # Per-refresh counters (wall time, per-step time, rows, shard skew).
+    # Per-refresh counters (wall time, per-step time, rows).
     stats: RefreshStats = field(default_factory=RefreshStats)
-    # The per-view adaptive planner (CompilerFlags.adaptive), or None.
-    adaptive: Any = None
-    # Captured rows with FALSE multiplicity since the last refresh — the
-    # planner's retraction-rate signal, counted by the capture triggers.
-    pending_retractions: int = 0
     # Set when a refresh died mid-pipeline: the stored rows were rolled
     # back to the pinned snapshot, but the in-memory incremental states
     # may have consumed part of the batch, so the next refresh rebuilds
     # the whole view from the base tables instead of propagating.
     needs_recompute: bool = False
-    # The escalating degradation ladder (parallel → serial → unsharded
-    # SQL → recompute); every view gets one, even when it never demotes.
+    # The escalating degradation ladder (native → sql → recompute);
+    # every view gets one, even when it never demotes.
     ladder: DegradationLadder = field(default_factory=DegradationLadder)
     # Set when a table referenced only inside the view's WHERE subquery
     # changed: the pinned snapshot verdicts are stale, so the next
@@ -303,7 +293,7 @@ class IVMExtension:
         SQL rungs re-evaluate the subquery per statement against *live*
         tables, which would silently diverge from the stored rows'
         pinned verdicts, so they recompute instead)."""
-        if member.ladder.rung >= RUNG_UNSHARDED:
+        if member.ladder.rung >= RUNG_SQL:
             return False
         return any(
             getattr(step, "snapshots", None)
@@ -335,8 +325,8 @@ class IVMExtension:
         ):
             self._recompute_closure(closure)
             return
-        # Members whose ladder heals across the unsharded rung this
-        # round: their native states sat out the SQL rounds and must be
+        # Members whose ladder heals across the SQL rung this round:
+        # their native states sat out the SQL rounds and must be
         # reseeded — after the closure-wide ΔT truncation below, so the
         # rebuilt states equal exactly the current base tables.
         reseed: list[_ViewState] = []
@@ -344,41 +334,13 @@ class IVMExtension:
             stats = member.stats
             stats.begin_round()
             pending_before = member.pending_changes
-            # Apply the degradation-ladder rung, then (rung 0 only) the
-            # adaptive plan selection: collect the O(1) signals, let the
-            # per-view planner pick this round's arm, and wire it in —
-            # run_pipeline then executes the chosen native steps and
-            # falls back to SQL for every step the arm excludes.
             rung = member.ladder.rung
-            decision = None
-            active_steps = member.compiled.native_steps
-            if rung == RUNG_UNSHARDED:
-                # Pure SQL fallback: the compiled script is complete on
-                # its own; the native states go stale and are reseeded
-                # when the ladder heals back past this rung.
-                active_steps = []
-            elif rung == RUNG_SERIAL:
-                for step in active_steps:
-                    if step.name == "sharded":
-                        step.set_parallel(False)
-            elif member.adaptive is not None:
-                signals = self._refresh_signals(member)
-                decision = member.adaptive.choose(signals)
-                active_steps = member.adaptive.activate(decision)
-                stats.record_decision(
-                    decision.arm.describe(),
-                    signals.as_dict(),
-                    decision.predicted_cost,
-                    decision.margin,
-                    decision.explored,
-                    decision.regime_shift,
-                )
-            else:
-                for step in active_steps:
-                    if step.name == "sharded":
-                        step.set_parallel(
-                            member.compiled.model.flags.parallel_refresh
-                        )
+            # The SQL rung runs the compiled script on its own; the
+            # native states go stale and are reseeded when the ladder
+            # heals back past it.
+            active_steps = (
+                [] if rung == RUNG_SQL else member.compiled.native_steps
+            )
             started = time.perf_counter()
             # Epoch-pin the view table: concurrent readers keep scanning
             # the pre-refresh snapshot until the commit below, so they
@@ -398,6 +360,7 @@ class IVMExtension:
                         "step4: clear delta table"
                     ),
                     stats=stats,
+                    fault_plan=self.flags.fault_plan,
                 )
             except BaseException as error:
                 # Roll the stored rows back to the pinned pre-refresh
@@ -441,19 +404,7 @@ class IVMExtension:
             member.pending_changes = 0
             member.snapshot_dirty = False
             member.refresh_count += 1
-            rows_in = pending_before
-            skew = 0.0
-            for step in member.compiled.native_steps:
-                loads = getattr(step, "last_shard_loads", None)
-                if loads and sum(loads) > 0:
-                    skew = max(loads) * len(loads) / sum(loads)
-                rows_in = max(rows_in, getattr(step, "last_rows_in", 0))
-            wall = time.perf_counter() - started
-            stats.finish_round(wall, rows_in, skew)
-            if decision is not None:
-                member.adaptive.observe(decision, wall)
-                stats.close_decision(wall)
-            member.pending_retractions = 0
+            stats.finish_round(time.perf_counter() - started, pending_before)
             self._note_clean_refresh(member, reseed)
         delta_tables = {
             delta
@@ -461,10 +412,7 @@ class IVMExtension:
             for delta in member.compiled.delta_tables.values()
         }
         native_truncate = all(
-            any(
-                step.name in ("step4", "sharded")
-                for step in member.compiled.native_steps
-            )
+            any(step.name == "step4" for step in member.compiled.native_steps)
             for member in closure
         )
         for delta in sorted(delta_tables):
@@ -496,7 +444,7 @@ class IVMExtension:
                 from_name=RUNG_NAMES[from_rung],
                 to_name=RUNG_NAMES[to_rung],
             )
-            if from_rung == RUNG_UNSHARDED and reseed is not None:
+            if from_rung == RUNG_SQL and reseed is not None:
                 reseed.append(member)
         member.stats.degradation_rung = member.ladder.rung
         if self._queue is not None:
@@ -532,7 +480,6 @@ class IVMExtension:
                 _clear_step_pendings(step)
                 step.initialize(con)
             member.pending_changes = 0
-            member.pending_retractions = 0
             member.stats.record_event(
                 "recompute",
                 rung=member.ladder.rung,
@@ -568,47 +515,8 @@ class IVMExtension:
 
     def refresh_stats(self, name: str) -> dict:
         """JSON-shaped per-refresh counters for ``name`` (wall seconds,
-        per-step seconds, rows in/moved, shard skew ratio — and, with
-        the adaptive planner, the last plan, its input signals, and the
-        last N decisions with observed wall times)."""
+        per-step seconds, rows in/moved, robustness events)."""
         return self.view_state(name).stats.snapshot()
-
-    def _refresh_signals(self, member: _ViewState) -> RefreshSignals:
-        """The planner's per-refresh inputs; every read is O(1) (table
-        live counts, trigger-maintained counters, last-round shard
-        loads) — no scans on the refresh path."""
-        con = self._require_connection()
-        compiled = member.compiled
-        delta_rows = sum(
-            len(con.table(delta))
-            for delta in compiled.delta_tables.values()
-        )
-        view_rows = len(con.table(compiled.name))
-        max_load = delta_rows
-        for step in compiled.native_steps:
-            if step.name != "sharded":
-                continue
-            state = step.step1.state
-            loads = list(getattr(state, "last_shard_loads", []) or [])
-            total = sum(loads)
-            # Project this round's hottest shard from the last observed
-            # load distribution (uniform before the first round).
-            fraction = (
-                max(loads) / total
-                if total > 0
-                else 1.0 / max(step.shard_count, 1)
-            )
-            max_load = int(math.ceil(delta_rows * fraction))
-        return RefreshSignals(
-            delta_rows=delta_rows,
-            view_rows=view_rows,
-            touched_groups=RefreshSignals.bound_touched(
-                delta_rows, view_rows
-            ),
-            retraction_rows=member.pending_retractions,
-            max_shard_load=max_load,
-            shard_skew=member.stats.last_shard_skew,
-        )
 
     def status(self) -> list[dict]:
         """Per-view runtime status (for dashboards/demos): name, class,
@@ -709,24 +617,18 @@ class IVMExtension:
         compiled = state.compiled
         vkey = compiled.name.lower()
         steps = {step.name: step for step in compiled.native_steps}
-        sharded = steps.get("sharded")
-        if sharded is not None:
-            # Swap in the hash-partitioned state wrappers first; the
-            # loads below then route entries by shard.
-            sharded.prepare_states()
-            step1, step2b, step3 = sharded.step1, sharded.step2b, sharded.step3
-        else:
-            step1 = steps.get("step1")
-            step2b = steps.get("step2b")
-            step3 = steps.get("step3")
+        step1 = steps.get("step1")
+        step2b = steps.get("step2b")
+        step3 = steps.get("step3")
 
         if step1 is not None and step1.is_join:
             entries = sections.get(f"state:{vkey}:join")
             if entries is None:
                 step1.initialize(con)
             else:
-                factory = step1.state_factory or IndexedJoinState
-                join_state = factory(step1.join_left_key, step1.join_right_key)
+                join_state = IndexedJoinState(
+                    step1.join_left_key, step1.join_right_key
+                )
                 left, right = compiled.model.analysis.tables
                 schemas = (
                     con.table(left.name).schema,
@@ -968,14 +870,6 @@ class IVMExtension:
         state = _ViewState(compiled=compiled, prepared=prepared)
         flags = compiled.model.flags
         state.ladder = DegradationLadder(heal_after=flags.degradation_heal_after)
-        if flags.adaptive:
-            state.adaptive = AdaptivePlanner(
-                build_plan_arms(compiled.model, compiled.native_steps),
-                all_steps=compiled.native_steps,
-                epsilon=flags.adaptive_epsilon,
-                seed=planner_seed(flags.adaptive_seed, name),
-            )
-            state.stats.decision_history = flags.adaptive_history
         self._views[name.lower()] = state
         state.stats.dag_depth = self._dag.depth(name)
         view_sources = {source.lower() for source in compiled.view_sources}
@@ -1073,7 +967,6 @@ class IVMExtension:
 
         def capture(connection: Connection, event: str, table: str, rows) -> None:
             delta_rows = delta_capture_rows(event, rows)
-            retractions = sum(1 for row in delta_rows if not row[-1])
             if self._queue is not None:
                 # Async ingestion: park the batch in the bounded queue;
                 # WAL + ΔT happen at drain time.  The base mutation has
@@ -1081,6 +974,7 @@ class IVMExtension:
                 # fault-injected enqueue flags the watching views for
                 # recompute before the error surfaces — shed load costs
                 # refresh work, never correctness.
+                retractions = sum(1 for row in delta_rows if not row[-1])
                 try:
                     self._queue.enqueue(base_table, delta_rows, retractions)
                 except BackpressureError:
@@ -1111,11 +1005,6 @@ class IVMExtension:
                     base_table, "capture_failure", type(error).__name__
                 )
                 raise
-            if retractions:
-                for watcher in self._watched.get(base_table.lower(), ()):
-                    member = self._views.get(watcher)
-                    if member is not None:
-                        member.pending_retractions += retractions
 
         for event in ("INSERT", "DELETE", "UPDATE"):
             con.triggers.register(trigger_name, base_table, event, capture)
@@ -1144,13 +1033,11 @@ class IVMExtension:
             delta_rows = delta_capture_rows(event, rows)
             if not delta_rows:
                 return
-            retractions = sum(1 for row in delta_rows if not row[-1])
             feed.insert_batch(delta_rows, coerce=False)
             for reader in self._delta_readers.get(feed_key, ()):
                 member = self._views.get(reader)
                 if member is not None:
                     member.pending_changes += len(delta_rows)
-                    member.pending_retractions += retractions
 
         for event in ("INSERT", "DELETE", "UPDATE"):
             con.triggers.register(trigger_name, upstream, event, capture)
@@ -1246,7 +1133,6 @@ class IVMExtension:
                     member = self._views.get(watcher)
                     if member is not None:
                         member.pending_changes += len(batch.rows)
-                        member.pending_retractions += batch.retractions
             if first_error is not None:
                 raise first_error
 
@@ -1344,11 +1230,6 @@ def load_ivm(
 def _clear_step_pendings(step) -> None:
     """Drop per-round batches a failed refresh may have left half-consumed
     (step-1 pushes to the liveness/extrema steps, touched-key lists)."""
-    if step.name == "sharded":
-        for inner in (step.step1, step.step2, step.step3, step.step2b):
-            if inner is not None:
-                _clear_step_pendings(inner)
-        return
     for attr in ("pending", "pending_keys", "pending_touched"):
         value = getattr(step, attr, None)
         if isinstance(value, list):

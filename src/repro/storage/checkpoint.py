@@ -380,13 +380,7 @@ def _native_states(compiled):
     counters = None
     sources: dict = {}
     for step in compiled.native_steps:
-        if step.name == "sharded":
-            if step.step1.is_join:
-                join_state = step.step1.state
-            counters = step.step3.counters
-            if step.step2b is not None:
-                sources = step.step2b.sources
-        elif step.name == "step1" and getattr(step, "is_join", False):
+        if step.name == "step1" and getattr(step, "is_join", False):
             join_state = step.state
         elif step.name == "step3":
             counters = step.counters

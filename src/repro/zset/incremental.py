@@ -28,7 +28,6 @@ of :mod:`repro.storage.art`.
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
-from zlib import crc32
 
 import numpy as np
 
@@ -38,16 +37,6 @@ from repro.zset.batch import ZSetBatch
 from repro.zset.zset import ZSet
 
 Query = Callable[..., ZSet]
-
-
-def shard_of(encoded: bytes, shard_count: int) -> int:
-    """Stable shard id for a memcomparable key encoding.
-
-    CRC32 rather than ``hash(bytes)``: Python's bytes hash is salted per
-    process, and shard routing must be deterministic so reloads and
-    differential-oracle replays land every key on the same shard.
-    """
-    return crc32(encoded) % shard_count
 
 
 def delta_view(query: Query, tables: list[ZSet], deltas: list[ZSet]) -> ZSet:
@@ -119,11 +108,6 @@ class GroupLivenessState:
     def __len__(self) -> int:
         return len(self._counts)
 
-    @property
-    def live_groups(self) -> int:
-        """Number of groups currently alive — an O(1) planner signal."""
-        return len(self._counts)
-
     def count(self, key: tuple) -> int:
         return self._counts.get(key, 0)
 
@@ -190,11 +174,6 @@ class GroupExtremaState:
 
     def __len__(self) -> int:
         """Number of groups currently holding at least one value."""
-        return len(self._groups)
-
-    @property
-    def group_count(self) -> int:
-        """Groups with at least one value — an O(1) planner signal."""
         return len(self._groups)
 
     def load(self, entries: Iterable[tuple[tuple, object, int]]) -> None:
@@ -386,12 +365,6 @@ class IndexedJoinState:
     def right_rows(self) -> int:
         return len(self._right)
 
-    @property
-    def total_rows(self) -> int:
-        """Integrated rows across both sides — an O(1) planner signal
-        (each side index maintains a running row count)."""
-        return len(self._left) + len(self._right)
-
     # -- loading -----------------------------------------------------------
 
     def load_left(self, rows: Iterable[tuple]) -> None:
@@ -420,41 +393,82 @@ class IndexedJoinState:
     def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
         """Back the state out of deltas that are already *in* the loaded
         base rows but not yet propagated (pending ΔT at load time)."""
-        self._left.integrate(_route(-delta_left, self._left.key_ordinals, 1)[0])
-        self._right.integrate(
-            _route(-delta_right, self._right.key_ordinals, 1)[0]
-        )
+        self._left.integrate(_route(-delta_left, self._left.key_ordinals))
+        self._right.integrate(_route(-delta_right, self._right.key_ordinals))
 
     # -- the three-term delta ----------------------------------------------
 
     def apply(
         self, delta_left: ZSetBatch, delta_right: ZSetBatch
     ) -> ZSetBatch:
-        """Output delta for one round of input deltas; integrates them."""
-        return _join_round(
-            self._left,
-            self._right,
-            _route(delta_left, self._left.key_ordinals, 1)[0],
-            _route(delta_right, self._right.key_ordinals, 1)[0],
-            (self._left_out, delta_left.arity),
-            (self._right_out, delta_right.arity),
+        """Output delta for one round of input deltas, old-state
+        semantics; integrates the deltas afterwards."""
+        dl_groups = _route(delta_left, self._left.key_ordinals)
+        dr_groups = _route(delta_right, self._right.key_ordinals)
+        lrows: list[tuple] = []
+        rrows: list[tuple] = []
+        wprod: list[int] = []
+        # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side lookup per distinct ΔA
+        # key, shared by every ΔA entry under that key.
+        for key, lentries in dl_groups.items():
+            stored = self._right.lookup(key)
+            fresh = dr_groups.get(key)
+            if not stored and not fresh:
+                continue
+            for lrow, lweight in lentries:
+                for rrow, rweight in stored.items():
+                    lrows.append(lrow)
+                    rrows.append(rrow)
+                    wprod.append(lweight * rweight)
+                if fresh:
+                    for rrow, rweight in fresh:
+                        lrows.append(lrow)
+                        rrows.append(rrow)
+                        wprod.append(lweight * rweight)
+        # A ⋈ ΔB (old A — ΔA not yet folded), one lookup per ΔB key.
+        for key, rentries in dr_groups.items():
+            stored = self._left.lookup(key)
+            if not stored:
+                continue
+            for rrow, rweight in rentries:
+                for lrow, lweight in stored.items():
+                    lrows.append(lrow)
+                    rrows.append(rrow)
+                    wprod.append(lweight * rweight)
+
+        self._left.integrate(dl_groups)
+        self._right.integrate(dr_groups)
+
+        left_out, right_out = self._left_out, self._right_out
+        if not lrows:
+            return ZSetBatch.empty(
+                (delta_left.arity if left_out is None else len(left_out))
+                + (delta_right.arity if right_out is None else len(right_out))
+            )
+        left_batch = ZSetBatch.from_rows(lrows, wprod)
+        right_batch = ZSetBatch.from_rows(
+            rrows, np.ones(len(rrows), dtype=np.int64)
         )
+        if left_out is None:
+            left_out = range(left_batch.arity)
+        if right_out is None:
+            right_out = range(right_batch.arity)
+        columns = [left_batch.columns[j] for j in left_out]
+        columns += [right_batch.columns[j] for j in right_out]
+        return ZSetBatch(columns, left_batch.weights).consolidate()
 
 
 def _route(
-    batch: ZSetBatch, key_ordinals: Sequence[int], shard_count: int
-) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-    """Split a delta batch into one ``key -> entries`` dict per shard (by
-    join-key hash), consolidating it first.  Routing and grouping are one
-    pass, so each entry is materialized once and each *distinct* key is
-    encoded once for the shard hash.  NULL-keyed entries are dropped —
-    they can never join, so they are never stored either."""
-    shards: list[dict[tuple, list[tuple[tuple, int]]]] = [
-        {} for _ in range(shard_count)
-    ]
+    batch: ZSetBatch, key_ordinals: Sequence[int]
+) -> "dict[tuple, list[tuple[tuple, int]]]":
+    """Group a delta batch by join key into one ``key -> entries`` dict,
+    consolidating it first, so each entry is materialized once.
+    NULL-keyed entries are dropped — they can never join, so they are
+    never stored either."""
+    groups: dict[tuple, list[tuple[tuple, int]]] = {}
     batch = batch.consolidate()
     if len(batch) == 0:
-        return shards
+        return groups
     columns = batch.columns
     key_columns = [columns[i] for i in key_ordinals]
     # One C-level pass: zip materializes the row tuples and key
@@ -465,388 +479,11 @@ def _route(
         if len(key_columns) != 1
         else ((value,) for value in key_columns[0])
     )
-    key_bucket: dict[tuple, list] = {}
     for row, key, weight in zip(rows, keys, batch.weights.tolist()):
-        bucket = key_bucket.get(key)
+        bucket = groups.get(key)
         if bucket is None:
             if any(v is None for v in key):
                 continue
-            target = shards[
-                0 if shard_count == 1 else shard_of(encode_key(key), shard_count)
-            ]
-            key_bucket[key] = bucket = target.setdefault(key, [])
+            bucket = groups[key] = []
         bucket.append((row, weight))
-    return shards
-
-
-def _join_round(
-    left: _SideIndex,
-    right: _SideIndex,
-    dl_groups: dict,
-    dr_groups: dict,
-    left_shape: tuple[list[int] | None, int],
-    right_shape: tuple[list[int] | None, int],
-) -> ZSetBatch:
-    """Three-term join delta over one pair of side indexes from deltas
-    grouped by :func:`_route`, old-state semantics; integrates the
-    deltas afterwards.  Each shape is ``(output ordinals or None, input
-    arity)``."""
-    lrows: list[tuple] = []
-    rrows: list[tuple] = []
-    wprod: list[int] = []
-    # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side lookup per distinct ΔA
-    # key, shared by every ΔA entry under that key.
-    for key, lentries in dl_groups.items():
-        stored = right.lookup(key)
-        fresh = dr_groups.get(key)
-        if not stored and not fresh:
-            continue
-        for lrow, lweight in lentries:
-            for rrow, rweight in stored.items():
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
-            if fresh:
-                for rrow, rweight in fresh:
-                    lrows.append(lrow)
-                    rrows.append(rrow)
-                    wprod.append(lweight * rweight)
-    # A ⋈ ΔB (old A — ΔA not yet folded), one lookup per ΔB key.
-    for key, rentries in dr_groups.items():
-        stored = left.lookup(key)
-        if not stored:
-            continue
-        for rrow, rweight in rentries:
-            for lrow, lweight in stored.items():
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
-
-    left.integrate(dl_groups)
-    right.integrate(dr_groups)
-
-    (left_out, left_arity), (right_out, right_arity) = left_shape, right_shape
-    if not lrows:
-        return ZSetBatch.empty(
-            (left_arity if left_out is None else len(left_out))
-            + (right_arity if right_out is None else len(right_out))
-        )
-    left_batch = ZSetBatch.from_rows(lrows, wprod)
-    right_batch = ZSetBatch.from_rows(rrows, np.ones(len(rrows), dtype=np.int64))
-    if left_out is None:
-        left_out = range(left_batch.arity)
-    if right_out is None:
-        right_out = range(right_batch.arity)
-    columns = [left_batch.columns[j] for j in left_out]
-    columns += [right_batch.columns[j] for j in right_out]
-    return ZSetBatch(columns, left_batch.weights).consolidate()
-
-
-# ---------------------------------------------------------------------------
-# Sharded wrappers (hash-partitioned incremental state)
-# ---------------------------------------------------------------------------
-
-
-class ShardedJoinState:
-    """N-way hash-partitioned :class:`IndexedJoinState`.
-
-    Same interface (``load_left`` / ``load_right`` / ``rewind`` /
-    ``apply``) plus per-shard entry points (``route_left`` /
-    ``route_right`` / ``apply_shard``) so a parallel refresh can fan the
-    shards out to worker threads and merge their output deltas behind a
-    barrier.  Keys are routed by :func:`shard_of` over the memcomparable
-    encoding, so each shard owns a disjoint key range of both side
-    indexes.
-
-    Each shard runs the same grouped three-term round
-    (:func:`_join_round`) as the unsharded state.
-    """
-
-    def __init__(
-        self,
-        left_key: Sequence[int],
-        right_key: Sequence[int],
-        left_out: Sequence[int] | None = None,
-        right_out: Sequence[int] | None = None,
-        shard_count: int = 2,
-    ) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._left_key = list(left_key)
-        self._right_key = list(right_key)
-        self._lefts = [_SideIndex(left_key) for _ in range(self.shard_count)]
-        self._rights = [_SideIndex(right_key) for _ in range(self.shard_count)]
-        self._left_out = None if left_out is None else list(left_out)
-        self._right_out = None if right_out is None else list(right_out)
-        # Delta entries routed to each shard in the last apply round —
-        # the numerator of the refresh skew ratio.
-        self.last_shard_loads = [0] * self.shard_count
-        # Input arities observed by the last route_* call (the grouped
-        # route drops the batch shape, but an empty shard's output batch
-        # still needs it when no output projection was configured).
-        self._left_arity = 0
-        self._right_arity = 0
-
-    # -- state inspection -------------------------------------------------
-
-    @property
-    def left_rows(self) -> int:
-        return sum(len(side) for side in self._lefts)
-
-    @property
-    def right_rows(self) -> int:
-        return sum(len(side) for side in self._rights)
-
-    @property
-    def total_rows(self) -> int:
-        """Integrated rows across all shards of both sides — O(shards)."""
-        return self.left_rows + self.right_rows
-
-    @property
-    def max_shard_load(self) -> int:
-        """Hottest shard's delta-row load in the last apply round — the
-        planner's skew signal (O(shards), no scanning)."""
-        return max(self.last_shard_loads, default=0)
-
-    # -- loading -----------------------------------------------------------
-
-    def _load(self, rows: Iterable[tuple], sides, key_ordinals) -> None:
-        buckets: list[list[tuple]] = [[] for _ in sides]
-        for row in rows:
-            key = tuple(row[i] for i in key_ordinals)
-            if any(v is None for v in key):
-                continue
-            buckets[shard_of(encode_key(key), self.shard_count)].append(row)
-        for side, bucket in zip(sides, buckets):
-            side.bulk_load(bucket)
-
-    def load_left(self, rows: Iterable[tuple]) -> None:
-        self._load(rows, self._lefts, self._left_key)
-
-    def load_right(self, rows: Iterable[tuple]) -> None:
-        self._load(rows, self._rights, self._right_key)
-
-    def dump(self) -> list[tuple[int, tuple, int]]:
-        """Checkpoint image in the :meth:`IndexedJoinState.dump` shape —
-        shard structure is not serialized; ``load_dump`` re-routes."""
-        return [
-            (side, row, weight)
-            for side, indexes in ((0, self._lefts), (1, self._rights))
-            for index in indexes
-            for row, weight in index.dump()
-        ]
-
-    def load_dump(self, entries: Iterable[tuple[int, tuple, int]]) -> None:
-        """Rebuild from a dump image (sharded or unsharded origin),
-        routing every row to its key's shard."""
-        parts: tuple[list[list], list[list]] = (
-            [[] for _ in range(self.shard_count)],
-            [[] for _ in range(self.shard_count)],
-        )
-        ordinals = (self._left_key, self._right_key)
-        for side, row, weight in entries:
-            key = tuple(row[i] for i in ordinals[side])
-            if any(v is None for v in key):
-                continue
-            shard = shard_of(encode_key(key), self.shard_count)
-            parts[side][shard].append((row, weight))
-        for index, part in zip(self._lefts, parts[0]):
-            index.load_weighted(part)
-        for index, part in zip(self._rights, parts[1]):
-            index.load_weighted(part)
-
-    def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
-        for side, groups in zip(self._lefts, self.route_left(-delta_left)):
-            side.integrate(groups)
-        for side, groups in zip(self._rights, self.route_right(-delta_right)):
-            side.integrate(groups)
-
-    # -- routing -----------------------------------------------------------
-
-    def route_left(
-        self, batch: ZSetBatch
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        self._left_arity = batch.arity
-        return _route(batch, self._left_key, self.shard_count)
-
-    def route_right(
-        self, batch: ZSetBatch
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        self._right_arity = batch.arity
-        return _route(batch, self._right_key, self.shard_count)
-
-    # -- the three-term delta, per shard ------------------------------------
-
-    def apply_shard(
-        self, shard: int, dl_groups: dict, dr_groups: dict
-    ) -> ZSetBatch:
-        """One shard's output delta (three-term join over its key range)
-        from the pre-grouped deltas ``route_left``/``route_right``
-        produced; integrates them into the shard's side indexes.  Safe
-        to run concurrently across *different* shards — each touches only
-        its own pair of side indexes."""
-        self.last_shard_loads[shard] = sum(
-            len(entries) for entries in dl_groups.values()
-        ) + sum(len(entries) for entries in dr_groups.values())
-        return _join_round(
-            self._lefts[shard],
-            self._rights[shard],
-            dl_groups,
-            dr_groups,
-            (self._left_out, self._left_arity),
-            (self._right_out, self._right_arity),
-        )
-
-    def apply(
-        self, delta_left: ZSetBatch, delta_right: ZSetBatch
-    ) -> ZSetBatch:
-        """Serial all-shards form (interface parity with
-        :class:`IndexedJoinState`): route, apply each shard, concatenate."""
-        parts_left = self.route_left(delta_left)
-        parts_right = self.route_right(delta_right)
-        pieces = [
-            self.apply_shard(i, parts_left[i], parts_right[i])
-            for i in range(self.shard_count)
-        ]
-        merged = pieces[0]
-        for piece in pieces[1:]:
-            merged = merged + piece
-        return merged.consolidate()
-
-
-class ShardedLivenessState:
-    """N-way hash-partitioned :class:`GroupLivenessState` (same
-    interface, plus per-shard routing/application)."""
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._shards = [GroupLivenessState() for _ in range(shard_count)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def live_groups(self) -> int:
-        """Live groups across all shards — O(shards) planner signal."""
-        return len(self)
-
-    def shard_of_key(self, key: tuple) -> int:
-        return shard_of(encode_key(key), self.shard_count)
-
-    def count(self, key: tuple) -> int:
-        return self._shards[self.shard_of_key(key)].count(key)
-
-    def load(self, entries: Iterable[tuple[tuple, int]]) -> None:
-        buckets: list[list[tuple[tuple, int]]] = [
-            [] for _ in range(self.shard_count)
-        ]
-        for key, count in entries:
-            buckets[self.shard_of_key(key)].append((key, count))
-        for shard, bucket in zip(self._shards, buckets):
-            shard.load(bucket)
-
-    def dump(self) -> list[tuple[tuple, int]]:
-        """Flattened checkpoint image; ``load`` re-routes by shard."""
-        return [pair for shard in self._shards for pair in shard.dump()]
-
-    def route(
-        self, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple[list[tuple], list[int]]]:
-        """(keys, nets) slices per shard, in shard order."""
-        parts: list[tuple[list[tuple], list[int]]] = [
-            ([], []) for _ in range(self.shard_count)
-        ]
-        for key, net in zip(keys, nets):
-            part = parts[self.shard_of_key(key)]
-            part[0].append(key)
-            part[1].append(int(net))
-        return parts
-
-    def apply_shard(
-        self, shard: int, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple]:
-        """Integrate one shard's count deltas; returns its dead keys.
-        Concurrency-safe across different shards."""
-        return self._shards[shard].apply(keys, nets)
-
-    def apply(
-        self, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple]:
-        dead: list[tuple] = []
-        for shard, (part_keys, part_nets) in enumerate(
-            self.route(keys, nets)
-        ):
-            dead.extend(self.apply_shard(shard, part_keys, part_nets))
-        return dead
-
-
-class ShardedExtremaState:
-    """N-way hash-partitioned :class:`GroupExtremaState` (same interface,
-    plus per-shard routing/application)."""
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._shards = [GroupExtremaState() for _ in range(shard_count)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def group_count(self) -> int:
-        """Non-empty groups across all shards — O(shards) planner signal."""
-        return len(self)
-
-    def shard_of_key(self, key: tuple) -> int:
-        return shard_of(encode_key(key), self.shard_count)
-
-    def load(self, entries: Iterable[tuple[tuple, object, int]]) -> None:
-        buckets: list[list[tuple[tuple, object, int]]] = [
-            [] for _ in range(self.shard_count)
-        ]
-        for key, value, count in entries:
-            buckets[self.shard_of_key(key)].append((key, value, count))
-        for shard, bucket in zip(self._shards, buckets):
-            shard.load(bucket)
-
-    def dump(self) -> list[tuple[tuple, object, int]]:
-        """Flattened checkpoint image; ``load`` re-routes by shard."""
-        return [triple for shard in self._shards for triple in shard.dump()]
-
-    def route(
-        self, keys: Sequence[tuple], values: Sequence, nets: Sequence[int]
-    ) -> list[tuple[list[tuple], list, list[int]]]:
-        """(keys, values, nets) slices per shard, in shard order."""
-        parts: list[tuple[list[tuple], list, list[int]]] = [
-            ([], [], []) for _ in range(self.shard_count)
-        ]
-        for key, value, net in zip(keys, values, nets):
-            part = parts[self.shard_of_key(key)]
-            part[0].append(key)
-            part[1].append(value)
-            part[2].append(int(net))
-        return parts
-
-    def apply_shard(
-        self,
-        shard: int,
-        keys: Sequence[tuple],
-        values: Sequence,
-        nets: Sequence[int],
-    ) -> None:
-        """Integrate one shard's (group, value) count deltas.
-        Concurrency-safe across different shards."""
-        self._shards[shard].apply(keys, values, nets)
-
-    def apply(
-        self, keys: Sequence[tuple], values: Sequence, nets: Sequence[int]
-    ) -> None:
-        for shard, (k, v, n) in enumerate(self.route(keys, values, nets)):
-            self.apply_shard(shard, k, v, n)
-
-    def extremum(self, key: tuple, want_max: bool):
-        return self._shards[self.shard_of_key(key)].extremum(key, want_max)
+    return groups

@@ -79,18 +79,14 @@ def test_pipeline_trajectory_artifact(tmp_path):
     data = bench_join.emit_pipeline_trajectory(
         path=target, orders=200, delta_rows=10, rounds=2,
         minmax_rounds=2, ingestion_rows=(50,), ablation_rounds=2,
-        sharding_orders=200, sharding_delta_rows=10, sharding_rounds=2,
         durability_rows=40, durability_batches=2,
         queue_bursts=2, queue_statements=10,
     )
     on_disk = json.loads(target.read_text())
     assert on_disk == data
-    assert set(data["configs"]) == {
-        "sql", "step1_native", "full_native", "adaptive",
-    }
+    assert set(data["configs"]) == {"sql", "step1_native", "full_native"}
     for name, cfg in data["configs"].items():
-        # Adaptive configs run 3x the rounds (planner warm-up).
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
+        assert len(cfg["refresh_seconds"]) == 2
         assert cfg["best_seconds"] == min(cfg["refresh_seconds"])
         assert sorted(cfg["native_steps"] + cfg["sql_steps"]) == [
             "step1", "step2", "step3", "step4",
@@ -101,7 +97,7 @@ def test_pipeline_trajectory_artifact(tmp_path):
     assert data["speedup_full_native_vs_sql"] > 0
     assert data["speedup_full_native_vs_step1_only"] > 0
     minmax = data["minmax"]
-    assert set(minmax["configs"]) == {"sql_rescan", "native_rescan", "adaptive"}
+    assert set(minmax["configs"]) == {"sql_rescan", "native_rescan"}
     assert "step2b" in minmax["configs"]["native_rescan"]["native_steps"]
     assert "step2b" not in minmax["configs"]["sql_rescan"]["native_steps"]
     assert minmax["speedup_native_rescan_vs_sql_rescan"] > 0
@@ -111,26 +107,15 @@ def test_pipeline_trajectory_artifact(tmp_path):
         for record in counts.values():
             assert record["batch_speedup"] > 0
     union = data["union_regroup"]
-    assert set(union["configs"]) == {"sql_rebuild", "native_regroup", "adaptive"}
+    assert set(union["configs"]) == {"sql_rebuild", "native_regroup"}
     assert "step2" in union["configs"]["native_regroup"]["native_steps"]
     assert "step2" not in union["configs"]["sql_rebuild"]["native_steps"]
     assert union["speedup_native_regroup_vs_sql_rebuild"] > 0
     expr = data["expr_keyed"]
-    assert set(expr["configs"]) == {"sql_step1", "native_expr", "adaptive"}
+    assert set(expr["configs"]) == {"sql_step1", "native_expr"}
     assert "step1" in expr["configs"]["native_expr"]["native_steps"]
     assert "step1" not in expr["configs"]["sql_step1"]["native_steps"]
     assert expr["speedup_native_expr_vs_sql_step1"] > 0
-    shard = data["sharding"]
-    assert set(shard["configs"]) == {
-        "shards1", "shards2", "shards4", "adaptive",
-    }
-    assert shard["configs"]["shards1"]["native_steps"] != ["sharded"]
-    for name in ("shards2", "shards4", "adaptive"):
-        cfg = shard["configs"][name]
-        assert cfg["native_steps"] == ["sharded"]
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
-        assert cfg["refresh_stats"]["refreshes"] > 0
-    assert shard["speedup_4_shards_vs_1"] > 0
     dag = data["view_dag"]
     assert set(dag["depths"]) == {"depth1", "depth2", "depth3"}
     for d, entry in enumerate(
@@ -156,19 +141,6 @@ def test_pipeline_trajectory_artifact(tmp_path):
         assert cfg["refresh_p99_seconds"] >= cfg["refresh_p50_seconds"] > 0
         assert cfg["queue"]["enqueued_rows"] > 0
     assert queue["queue_vs_sync_ingest_ratio"] > 0
-    adaptive = data["adaptive"]
-    assert set(adaptive) == {
-        "pipeline", "minmax", "union_regroup", "expr_keyed", "sharding",
-    }
-    for family, record in adaptive.items():
-        # Values are noise at this scale; the shape and the decision log
-        # must be right (CI measures and gates at full scale).
-        assert record["vs_best_ratio"] > 0
-        assert record["adaptive_best_seconds"] > 0
-        assert record["static_best_seconds"] <= record["static_worst_seconds"]
-        assert isinstance(record["beats_worst"], bool)
-        assert record["decisions"] > 0, f"{family}: no planner decisions"
-        assert record["arms_seen"], f"{family}: no arms recorded"
 
 
 def test_union_and_expr_ablations_stay_correct_at_tiny_scale():
@@ -178,31 +150,12 @@ def test_union_and_expr_ablations_stay_correct_at_tiny_scale():
         orders=150, delta_rows=5, rounds=2
     )
     for name, cfg in union["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
+        assert len(cfg["refresh_seconds"]) == 2
     expr = bench_join.collect_expr_trajectory(
         orders=150, delta_rows=5, rounds=2
     )
     for name, cfg in expr["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
-
-
-def test_sharding_bench_stays_correct_at_tiny_scale():
-    """All three shard counts agree with the recompute (asserted inside
-    the collector) and report the expected step split and stats."""
-    data = bench_join.collect_sharding_trajectory(
-        orders=150, delta_rows=5, rounds=2, warmup_rounds=1
-    )
-    assert set(data["configs"]) == {
-        "shards1", "shards2", "shards4", "adaptive",
-    }
-    for name, cfg in data["configs"].items():
-        rounds = 6 if name == "adaptive" else 2  # adaptive runs 3x
-        assert len(cfg["refresh_seconds"]) == rounds
-        assert cfg["refresh_stats"]["refreshes"] == rounds + 1  # + warmup
-        if name != "shards1":
-            assert cfg["native_steps"] == ["sharded"]
-            assert cfg["refresh_stats"]["last_shard_skew"] >= 1.0
-    assert data["configs"]["adaptive"]["refresh_stats"]["decisions"]
+        assert len(cfg["refresh_seconds"]) == 2
 
 
 def test_view_dag_bench_stays_correct_at_tiny_scale():
@@ -224,10 +177,9 @@ def test_minmax_bench_stays_correct_at_tiny_scale():
     data = bench_join.collect_minmax_trajectory(
         orders=150, delta_rows=5, rounds=2
     )
-    assert set(data["configs"]) == {"sql_rescan", "native_rescan", "adaptive"}
+    assert set(data["configs"]) == {"sql_rescan", "native_rescan"}
     for name, cfg in data["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
-    assert data["configs"]["adaptive"]["refresh_stats"]["decisions"]
+        assert len(cfg["refresh_seconds"]) == 2
 
 
 def test_durability_bench_stays_correct_at_tiny_scale():
@@ -268,12 +220,7 @@ def test_regression_gate_baseline_is_well_formed():
         bench_join.BENCH_BASELINE_PATH.read_text(encoding="utf-8")
     )
     assert baseline["join_15k"]["refresh_vs_recompute_ratio"] > 0
-    assert baseline["join_15k_adaptive"]["refresh_vs_recompute_ratio"] > 0
     current = bench_join.measure_gate_metric(
         orders=200, delta_rows=10, rounds=2
     )
     assert current["refresh_vs_recompute_ratio"] > 0
-    adaptive = bench_join.measure_gate_metric(
-        orders=200, delta_rows=10, rounds=2, adaptive=True
-    )
-    assert adaptive["refresh_vs_recompute_ratio"] > 0

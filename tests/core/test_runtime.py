@@ -12,10 +12,9 @@ import time
 import pytest
 
 from repro.core.runtime import (
-    RUNG_PARALLEL,
+    RUNG_NATIVE,
     RUNG_RECOMPUTE,
-    RUNG_SERIAL,
-    RUNG_UNSHARDED,
+    RUNG_SQL,
     DegradationLadder,
     IngestQueue,
     RefreshDaemon,
@@ -262,12 +261,11 @@ class TestDrainTriggers:
 class TestDegradationLadder:
     def test_demotes_one_rung_per_failure_bounded_at_recompute(self):
         ladder = DegradationLadder()
-        assert ladder.rung == RUNG_PARALLEL
-        assert ladder.note_failure() == (RUNG_PARALLEL, RUNG_SERIAL)
-        assert ladder.note_failure() == (RUNG_SERIAL, RUNG_UNSHARDED)
-        assert ladder.note_failure() == (RUNG_UNSHARDED, RUNG_RECOMPUTE)
+        assert ladder.rung == RUNG_NATIVE
+        assert ladder.note_failure() == (RUNG_NATIVE, RUNG_SQL)
+        assert ladder.note_failure() == (RUNG_SQL, RUNG_RECOMPUTE)
         assert ladder.note_failure() == (RUNG_RECOMPUTE, RUNG_RECOMPUTE)
-        assert ladder.demotions == 3  # the bounded repeat does not count
+        assert ladder.demotions == 2  # the bounded repeat does not count
         assert ladder.rung_name == "recompute"
 
     def test_heals_one_rung_after_n_consecutive_cleans(self):
@@ -275,13 +273,13 @@ class TestDegradationLadder:
         ladder.note_failure()
         ladder.note_failure()  # rung 2
         assert ladder.note_clean() is None
-        assert ladder.note_clean() == (RUNG_UNSHARDED, RUNG_SERIAL)
+        assert ladder.note_clean() == (RUNG_RECOMPUTE, RUNG_SQL)
         assert ladder.note_clean() is None
-        assert ladder.note_clean() == (RUNG_SERIAL, RUNG_PARALLEL)
+        assert ladder.note_clean() == (RUNG_SQL, RUNG_NATIVE)
         assert ladder.heals == 2
         # At the top rung cleans are a no-op.
         assert ladder.note_clean() is None
-        assert ladder.rung == RUNG_PARALLEL
+        assert ladder.rung == RUNG_NATIVE
 
     def test_failure_resets_the_clean_streak(self):
         ladder = DegradationLadder(heal_after=2)
@@ -289,15 +287,15 @@ class TestDegradationLadder:
         assert ladder.note_clean() is None
         ladder.note_failure()  # streak gone, rung 2 now
         assert ladder.note_clean() is None
-        assert ladder.note_clean() == (RUNG_UNSHARDED, RUNG_SERIAL)
+        assert ladder.note_clean() == (RUNG_RECOMPUTE, RUNG_SQL)
 
     def test_snapshot_shape(self):
         ladder = DegradationLadder(heal_after=4)
         ladder.note_failure()
         snap = ladder.snapshot()
         assert snap == {
-            "rung": RUNG_SERIAL,
-            "rung_name": "serial",
+            "rung": RUNG_SQL,
+            "rung_name": "sql",
             "consecutive_clean": 0,
             "demotions": 1,
             "heals": 0,

@@ -1,11 +1,14 @@
 """Failure-path regression tests: a refresh that dies mid-pipeline must
 release its snapshot pin, leave the pre-refresh rows visible, and heal
 through a full recompute on the next refresh — never serve half-applied
-state.  Covers the flat per-step pipeline and the sharded fold (where
-the failure happens on a worker thread)."""
+state.  Covers a failure in the first native step and one injected at
+the ``refresh.step`` fault site after step 1 has already integrated its
+join and extrema states."""
 
 import pytest
 
+from repro.core.faults import FaultPlan, FaultSpec
+from repro.errors import FaultInjectedError
 from tests.conftest import assert_view_matches
 
 
@@ -93,7 +96,7 @@ class TestFailedRefresh:
         )
 
 
-class TestShardWorkerFailure:
+class TestPartialRefreshFailure:
     QUERY = (
         "SELECT c.region, SUM(o.amount) AS s, MAX(o.amount) AS hi, "
         "COUNT(*) AS n FROM orders o JOIN customers c ON o.cust = c.id "
@@ -101,7 +104,10 @@ class TestShardWorkerFailure:
     )
 
     def _setup(self, ivm_con):
-        con, ext = ivm_con(shard_count=4)
+        plan = FaultPlan(seed=1)
+        # One clean round heals the ladder, so the rounds after the
+        # recompute run natively again on the reseeded states.
+        con, ext = ivm_con(fault_plan=plan, degradation_heal_after=1)
         con.execute(
             "CREATE TABLE orders (id INTEGER PRIMARY KEY, cust INTEGER, "
             "amount INTEGER)"
@@ -120,56 +126,38 @@ class TestShardWorkerFailure:
         )
         ext.refresh("q")
         state = ext.view_state("q")
-        sharded = next(
-            s for s in state.compiled.native_steps if s.name == "sharded"
-        )
-        assert sharded.shard_count == 4 and sharded.parallel
-        return con, ext, state, sharded
+        names = [step.name for step in state.compiled.native_steps]
+        assert names[:2] == ["step1", "step2"]
+        # The next refresh fails at its second native step: step 1 has
+        # then integrated the round into the join and extrema states.
+        plan.add(FaultSpec("refresh.step", times=1, after=1))
+        return con, ext, state, plan
 
-    def test_worker_exception_propagates_and_flags_recompute(self, ivm_con):
-        con, ext, state, sharded = self._setup(ivm_con)
+    def test_late_step_failure_rolls_back_and_flags_recompute(self, ivm_con):
+        con, ext, state, plan = self._setup(ivm_con)
         table = con.catalog.table("q")
         before = sorted(table.scan())
         con.execute("INSERT INTO orders VALUES (7,1,70), (8,3,80), (9,4,90)")
         con.execute("DELETE FROM orders WHERE id = 2")
-
-        real_fold = sharded._shard_fold
-
-        def failing_fold(connection, shard, *args):
-            if shard == 1:
-                raise InjectedStepFailure(f"worker for shard {shard} died")
-            return real_fold(connection, shard, *args)
-
-        sharded._shard_fold = failing_fold
-        with pytest.raises(InjectedStepFailure):
+        with pytest.raises(FaultInjectedError):
             ext.refresh("q")
-        # First worker exception surfaced (not swallowed by the pool),
-        # the view rolled back to its pre-refresh epoch, and the view is
-        # flagged: the surviving shards integrated their deltas, shard 1
-        # did not, so the partitions are mutually inconsistent.
+        assert plan.fired("refresh.step") == 1
+        # The view rolled back to its pre-refresh epoch and is flagged:
+        # the join state holds the round, the stored rows do not.
         assert sorted(table.scan()) == before
         assert table._snapshot_pinned is False
         assert state.needs_recompute is True
 
-    def test_recompute_reseeds_all_shards(self, ivm_con):
-        con, ext, state, sharded = self._setup(ivm_con)
+    def test_recompute_reseeds_every_state(self, ivm_con):
+        con, ext, state, plan = self._setup(ivm_con)
         con.execute("INSERT INTO orders VALUES (7,1,70), (8,3,80), (9,4,90)")
-
-        real_fold = sharded._shard_fold
-
-        def failing_fold(connection, shard, *args):
-            if shard == 1:
-                raise InjectedStepFailure(f"worker for shard {shard} died")
-            return real_fold(connection, shard, *args)
-
-        sharded._shard_fold = failing_fold
-        with pytest.raises(InjectedStepFailure):
+        with pytest.raises(FaultInjectedError):
             ext.refresh("q")
-        del sharded._shard_fold
         ext.refresh("q")
         assert state.needs_recompute is False
+        assert state.ladder.rung_name == "native"
         assert_view_matches(con, self.QUERY, "q")
-        # The reseeded shard states stay consistent through further
+        # The reseeded states stay consistent through further
         # incremental rounds, including MAX retractions.
         con.execute("DELETE FROM orders WHERE amount >= 80")
         con.execute("INSERT INTO orders VALUES (10,2,-5), (11,4,100)")

@@ -270,7 +270,7 @@ class TestStatsAndHealth:
         assert report["queue"]["depth_rows"] == 1
         (view,) = report["views"]
         assert view["view"] == "q"
-        assert view["rung_name"] == "parallel"
+        assert view["rung_name"] == "native"
         assert view["needs_recompute"] is False
         assert report["faults"] == []  # a plan with no specs
         assert report["durability"] is None

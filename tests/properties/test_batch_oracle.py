@@ -637,7 +637,7 @@ def test_where_filtered_three_way_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Sharded refresh oracle: hash-partitioned state vs the per-step pipeline
+# Skewed join oracle: every fold kind under a Zipf-skewed DML stream
 # ---------------------------------------------------------------------------
 
 import sys
@@ -645,40 +645,34 @@ import threading
 
 from repro.workloads.generators import zipf_group_keys
 
-SHARDED_VIEW = (
+SKEWED_VIEW = (
     "CREATE MATERIALIZED VIEW sh AS "
     "SELECT c.region, COUNT(*) AS n, SUM(o.amount) AS revenue, "
     "MIN(o.amount) AS lo, MAX(o.amount) AS hi, AVG(o.amount) AS mean "
     "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
     "GROUP BY c.region"
 )
-SHARDED_RECOMPUTE = (
+SKEWED_RECOMPUTE = (
     "SELECT c.region, COUNT(*), SUM(o.amount), MIN(o.amount), "
     "MAX(o.amount), AVG(o.amount) "
     "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
     "GROUP BY c.region"
 )
 
-# Four engines: the pure-SQL script, the unsharded per-step pipeline, and
-# the sharded single-step refresh at 2 shards (serial workers) and
-# 4 shards (ThreadPoolExecutor workers), so both execution modes of the
-# sharded path are differentially tested against the unsharded engines.
-SHARDED_ENGINE_CONFIGS = [
+# Two engines: the pure-SQL script and the native per-step pipeline.
+SKEWED_ENGINE_CONFIGS = [
     ("sql", dict(batch_kernels=False)),
     ("native", dict()),
-    ("sharded2", dict(shard_count=2, parallel_refresh=False)),
-    ("sharded4", dict(shard_count=4, parallel_refresh=True)),
 ]
 
-# The milestone's acceptance bar for the sharded oracle alone.
-SHARDED_STEPS = 220
+SKEWED_STEPS = 220
 
 
-def test_sharded_refresh_four_way_oracle():
+def test_skewed_join_refresh_oracle():
     """Join-aggregation view with every fold kind (COUNT/SUM/MIN/MAX/AVG)
     under a Zipf-skewed DML stream — most activity lands on a few hot
-    customers, so shard routing, per-shard extrema repair, and liveness
-    deletes all run against unbalanced shards.  All four engines must
+    customers, so the join state, extrema repair, and liveness deletes
+    all run against a few heavily revisited keys.  Both engines must
     agree with each other and with the recompute throughout."""
     workload = generate_sales_workload(
         num_customers=40, num_orders=150, num_regions=6, seed=41
@@ -694,28 +688,25 @@ def test_sharded_refresh_four_way_oracle():
             orders.insert(row, coerce=False)
 
     cons = []
-    for label, overrides in SHARDED_ENGINE_CONFIGS:
+    for label, overrides in SKEWED_ENGINE_CONFIGS:
         con = Connection()
         ext = load_ivm(
             con, CompilerFlags(mode=PropagationMode.LAZY, **overrides)
         )
         schema(con)
-        con.execute(SHARDED_VIEW)
+        con.execute(SKEWED_VIEW)
         native = ext.status()[0]["native_steps"]
         if label == "sql":
             assert native == []
-        elif label == "native":
-            assert "step1" in native and "sharded" not in native
         else:
-            # The whole pipeline collapsed into the one sharded step.
-            assert native == ["sharded"]
+            assert "step1" in native
         cons.append(con)
 
     # Zipf-skewed customer picks: ~90% of the stream hits a handful of
-    # hot customers (hash-routed to a minority of the shards).
+    # hot customers.
     hot_picks = [
         int(key[1:]) for key in zipf_group_keys(
-            SHARDED_STEPS * 2, num_groups=40, skew=1.3, seed=43
+            SKEWED_STEPS * 2, num_groups=40, skew=1.3, seed=43
         )
     ]
     rng = random.Random(47)
@@ -723,7 +714,7 @@ def test_sharded_refresh_four_way_oracle():
     next_oid = workload.next_order_id()
     pick = iter(hot_picks)
     steps = 0
-    for _ in range(SHARDED_STEPS):
+    for _ in range(SKEWED_STEPS):
         roll = rng.random()
         if roll < 0.55 or not live:
             cust = workload.customers[next(pick)][0]
@@ -749,20 +740,20 @@ def test_sharded_refresh_four_way_oracle():
                     [amount, target],
                 )
         steps += 1
-        if steps % 5 == 0 or steps == SHARDED_STEPS:
+        if steps % 5 == 0 or steps == SKEWED_STEPS:
             results = [
                 (
                     con.execute(
                         "SELECT region, n, revenue, lo, hi, mean FROM sh"
                     ).sorted(),
-                    con.execute(SHARDED_RECOMPUTE).sorted(),
+                    con.execute(SKEWED_RECOMPUTE).sorted(),
                 )
                 for con in cons
             ]
             recomputes = [want for _, want in results]
             assert all(w == recomputes[0] for w in recomputes)
             for (label, _), (got, want) in zip(
-                SHARDED_ENGINE_CONFIGS, results
+                SKEWED_ENGINE_CONFIGS, results
             ):
                 assert got == want, f"{label} diverged from recompute"
     assert steps >= 200
@@ -797,7 +788,7 @@ def test_snapshot_reads_never_observe_torn_refresh():
     load_ivm(
         con,
         CompilerFlags(
-            mode=PropagationMode.EAGER, shard_count=2, snapshot_reads=True
+            mode=PropagationMode.EAGER, snapshot_reads=True
         ),
     )
     con.execute(
@@ -809,7 +800,7 @@ def test_snapshot_reads_never_observe_torn_refresh():
     )
     for g in range(num_regions):
         con.execute(f"INSERT INTO customers VALUES ('c{g}', 'r{g}')")
-    con.execute(SHARDED_VIEW)
+    con.execute(SKEWED_VIEW)
     # Seed epoch 1 so the reader always sees all regions.
     seed = ", ".join(f"({g}, 'c{g}', 'p', {g + 1})" for g in range(num_regions))
     con.execute(f"INSERT INTO orders VALUES {seed}")

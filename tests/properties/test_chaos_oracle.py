@@ -1,14 +1,15 @@
 """Chaos oracle: randomized DML under seeded fault schedules.
 
-The robustness milestone's acceptance bar.  Four chaos campaigns replay
-seeded DML streams (the sales workload of the sharded oracle, plus a
-single-table churn stream for the ingest queue) while a deterministic
+The robustness milestone's acceptance bar.  Five chaos campaigns replay
+seeded DML streams (a Zipf-skewed sales workload over a join view, plus
+a single-table churn stream for the ingest queue) while a deterministic
 :class:`~repro.core.faults.FaultPlan` injects failures at the four named
 sites:
 
-* ``shard.compute`` — worker exceptions (retryable and not) and latency
-  spikes that blow ``worker_timeout``, exercising bounded retry, pool
-  abandonment, and the degradation ladder;
+* ``refresh.step`` — errors raised before a native step runs, so a
+  refresh can die after step 1 has integrated its state, exercising the
+  snapshot rollback, the recompute self-heal and the degradation
+  ladder;
 * ``wal.append`` — hard errors and torn writes on the capture path (the
   base mutation survives; the delta is lost, so the watchers must
   self-heal through recompute);
@@ -37,10 +38,12 @@ import pytest
 
 from repro import CompilerFlags, Connection, PropagationMode, load_ivm
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.runtime import RUNG_PARALLEL, RUNG_UNSHARDED
+from repro.core.runtime import RUNG_NATIVE, RUNG_SQL
 from repro.errors import ReproError
 from repro.workloads.generators import generate_sales_workload, zipf_group_keys
 
+# SHARDED_STEPS and DAG_SHARD_STEPS keep their names from when campaigns
+# 1 and 5 faulted a sharded refresh; both now fault ``refresh.step``.
 SHARDED_STEPS = 120
 DURABILITY_STEPS = 60
 QUEUE_STEPS_PER_POLICY = 30
@@ -121,38 +124,22 @@ def _assert_converged(con, view_select: str, recompute_sql: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Campaign 1: shard-worker chaos — exceptions, timeouts, retries, ladder
+# Campaign 1: refresh-step chaos — partial refreshes, recompute, ladder
 # ---------------------------------------------------------------------------
 
 
-def test_sharded_worker_chaos_converges():
-    """Parallel sharded refresh under worker exceptions and latency
-    spikes: retryable faults replay on the retry budget, non-retryable
-    and timed-out workers demote the ladder, and the view equals the
-    recompute after every burst regardless."""
+def test_refresh_step_chaos_converges():
+    """The native pipeline under step faults: a fault before step 2,
+    2b, 3 or 4 lands after step 1 has integrated the round into the join
+    and extrema states, so every firing is a partial refresh.  Each one
+    rolls the view back, demotes the ladder and flags the recompute, and
+    the view equals the recompute after every burst regardless."""
     plan = FaultPlan(seed=2024).add(
-        FaultSpec("shard.compute", kind="error", probability=0.10, times=8)
+        FaultSpec("refresh.step", kind="error", probability=0.10, times=8)
     ).add(
-        FaultSpec(
-            "shard.compute", kind="error", probability=0.05, times=3,
-            retryable=False,
-        )
-    ).add(
-        # Sleeps past worker_timeout: the attempt is abandoned behind
-        # the round token and retried on a fresh pool.
-        FaultSpec(
-            "shard.compute", kind="latency", latency=0.25,
-            probability=0.04, times=2,
-        )
+        FaultSpec("refresh.step", kind="error", probability=0.05, times=3)
     )
-    con, ext, workload = _build_sales_engine(
-        shard_count=4,
-        parallel_refresh=True,
-        worker_timeout=0.05,
-        worker_retries=2,
-        worker_backoff=0.001,
-        fault_plan=plan,
-    )
+    con, ext, workload = _build_sales_engine(fault_plan=plan)
     rng = random.Random(93)
     picks = iter(
         int(key[1:])
@@ -180,7 +167,7 @@ def test_sharded_worker_chaos_converges():
             _assert_converged(
                 con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
             )
-    assert plan.fired("shard.compute") > 0, "schedule never fired"
+    assert plan.fired("refresh.step") > 0, "schedule never fired"
     stats = ext.view_state("sh").stats
     assert stats.events_of("refresh_failure"), "no refresh ever failed"
     assert stats.events_of("demote"), "failures never demoted the ladder"
@@ -189,7 +176,7 @@ def test_sharded_worker_chaos_converges():
     # so clean refreshes heal the ladder back to the full plan.
     state = ext.view_state("sh")
     for round_index in range(16):
-        if state.ladder.rung == RUNG_PARALLEL:
+        if state.ladder.rung == RUNG_NATIVE:
             break
         con.execute(
             "INSERT INTO orders VALUES (?, ?, ?, ?)",
@@ -197,7 +184,7 @@ def test_sharded_worker_chaos_converges():
         )
         next_oid += 1
         ext.refresh("sh")
-    assert state.ladder.rung == RUNG_PARALLEL, "ladder never healed"
+    assert state.ladder.rung == RUNG_NATIVE, "ladder never healed"
     assert stats.events_of("heal"), "heal left no structured event"
     _assert_converged(
         con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
@@ -346,16 +333,15 @@ def test_queue_overflow_chaos_converges(policy):
 
 
 def test_degradation_ladder_demotes_and_heals_deterministically():
-    """Non-retryable worker faults, one armed per phase, walk the ladder
-    down one rung per failure (parallel → serial → unsharded), every
-    rung is visible as a structured ``demote`` event, and once the
-    faults stop, consecutive clean refreshes emit ``heal`` events until
-    the view is back on the full parallel plan — with the native states
-    reseeded and the results still exact."""
+    """Step faults walk the ladder down and back up on an exact
+    trajectory: a fault demotes the native plan to the SQL rung, where
+    no native step runs, so a second armed fault cannot fire there; two
+    clean rounds (the recompute, then one SQL round) heal back to native
+    with the native states reseeded, and the next native round takes
+    the second fault.  Every move is a structured ``demote`` or
+    ``heal`` event, and the results stay exact throughout."""
     plan = FaultPlan(seed=3)
     con, ext, workload = _build_sales_engine(
-        shard_count=2,
-        parallel_refresh=True,
         degradation_heal_after=2,
         fault_plan=plan,
     )
@@ -381,26 +367,32 @@ def test_degradation_ladder_demotes_and_heals_deterministically():
             con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
         )
 
-    # Phase 1: one non-retryable fault demotes the parallel plan.
-    plan.add(FaultSpec("shard.compute", kind="error", times=1, retryable=False))
+    # Phase 1: one fault demotes the native plan.
+    plan.add(FaultSpec("refresh.step", kind="error", times=1))
     dml_and_refresh(expect_fail=True)
-    assert state.ladder.rung == 1
-    # Phase 2: the next fault hits the serial rung and demotes again.
-    plan.add(FaultSpec("shard.compute", kind="error", times=1, retryable=False))
+    assert state.ladder.rung == RUNG_SQL
+    # Phase 2: a second fault is armed, but the SQL rung runs no native
+    # step.  The recompute (run by the read after the failure) and one
+    # SQL round are clean and heal back.
+    plan.add(FaultSpec("refresh.step", kind="error", times=1))
+    visits = plan.visits("refresh.step")
+    dml_and_refresh(expect_fail=False)
+    assert plan.visits("refresh.step") == visits
+    assert state.ladder.rung == RUNG_NATIVE
+    # Phase 3: the first native round takes the second fault; two clean
+    # rounds heal again, and further cleans at the top stay there.
     dml_and_refresh(expect_fail=True)
-    assert state.ladder.rung == RUNG_UNSHARDED
-    # Phase 3: no faults armed — clean refreshes heal rung by rung, and
-    # further cleans at the top stay there.
+    assert state.ladder.rung == RUNG_SQL
     while steps < LADDER_STEPS:
         dml_and_refresh(expect_fail=False)
-    assert plan.fired("shard.compute") == 2
+    assert plan.fired("refresh.step") == 2
     stats = state.stats
     demotes = stats.events_of("demote")
     heals = stats.events_of("heal")
-    assert [(e["from_rung"], e["to_rung"]) for e in demotes] == [(0, 1), (1, 2)]
-    assert [(e["from_rung"], e["to_rung"]) for e in heals] == [(2, 1), (1, 0)]
-    assert state.ladder.rung == RUNG_PARALLEL
-    assert stats.degradation_rung == RUNG_PARALLEL
+    assert [(e["from_rung"], e["to_rung"]) for e in demotes] == [(0, 1), (0, 1)]
+    assert [(e["from_rung"], e["to_rung"]) for e in heals] == [(1, 0), (1, 0)]
+    assert state.ladder.rung == RUNG_NATIVE
+    assert stats.degradation_rung == RUNG_NATIVE
     assert state.ladder.demotions == 2 and state.ladder.heals == 2
     assert steps == LADDER_STEPS
     # The reseeded native states keep propagating exactly after the heal.
@@ -448,25 +440,14 @@ def _assert_dag_converged(con) -> None:
 
 
 def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
-    """Worker faults aimed at the *interior* node of a 3-level DAG: only
-    ``by_region`` is a join view, so every ``shard.compute`` firing lands
-    mid-cascade.  A failed interior refresh must flag its dependents
+    """Step faults across a 3-level DAG, including its *interior* node
+    ``by_region`` (the one join view), so firings land mid-cascade.  A
+    failed interior refresh must flag its dependents
     (``upstream_invalidate`` events + counter) instead of letting them
     consume a polluted feed, the ladder demotes and heals at the interior
     rung, and all three levels equal their recompute throughout."""
-    plan = FaultPlan(seed=4096).add(
-        FaultSpec("shard.compute", kind="error", probability=0.25, times=6)
-    ).add(
-        FaultSpec(
-            "shard.compute", kind="error", probability=0.15, times=3,
-            retryable=False,
-        )
-    )
+    plan = FaultPlan(seed=4096)
     con, ext, workload = _build_sales_engine(
-        shard_count=2,
-        parallel_refresh=True,
-        worker_retries=1,
-        worker_backoff=0.001,
         degradation_heal_after=2,
         fault_plan=plan,
     )
@@ -486,6 +467,12 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
         "CREATE MATERIALIZED VIEW grand_total AS "
         "SELECT SUM(revenue) AS grand FROM by_region"
     )
+    # Armed once the DAG exists: CREATE refreshes the upstream views.
+    plan.add(
+        FaultSpec("refresh.step", kind="error", probability=0.25, times=6)
+    ).add(
+        FaultSpec("refresh.step", kind="error", probability=0.15, times=3)
+    )
     rng = random.Random(57)
     live = {row[0]: None for row in workload.orders}
     next_oid = workload.next_order_id()
@@ -504,7 +491,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
             _execute_chaos(con, "DELETE FROM orders WHERE oid = ?", [victim])
         if step % 5 == 0:
             _assert_dag_converged(con)
-    assert plan.fired("shard.compute") > 0, "schedule never fired"
+    assert plan.fired("refresh.step") > 0, "schedule never fired"
     mid = ext.view_state("by_region")
     assert mid.stats.events_of("refresh_failure"), "interior never failed"
     assert mid.stats.events_of("demote"), "interior failures never demoted"
@@ -518,7 +505,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
     # firings) runs dry, after which consecutive clean refreshes walk the
     # interior ladder back up — and the healed DAG still converges.
     for round_index in range(40):
-        if mid.ladder.rung == RUNG_PARALLEL:
+        if mid.ladder.rung == RUNG_NATIVE:
             break
         con.execute(
             "INSERT INTO orders VALUES (?, ?, ?, ?)",
@@ -529,7 +516,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
             ext.refresh("grand_total")
         except ReproError:
             continue
-    assert mid.ladder.rung == RUNG_PARALLEL, "interior ladder never healed"
+    assert mid.ladder.rung == RUNG_NATIVE, "interior ladder never healed"
     assert mid.stats.events_of("heal")
     _assert_dag_converged(con)
 

@@ -1,11 +1,10 @@
-"""Four-engine differential oracle for cascaded (view-over-view) IVM.
+"""Two-engine differential oracle for cascaded (view-over-view) IVM.
 
 The same seeded DML stream is replayed against three DAG topologies —
 a 2-level chain, a 3-level chain, and a diamond (two aggregate views
-over one base table joined back together) — on four engine
-configurations: **sql** (pure SQL propagation), **native** (vectorized
-batch kernels), **adaptive** (cost-based plan re-selection), and
-**sharded** (hash-partitioned join state). After every few steps each
+over one base table joined back together) — on two engine
+configurations: **sql** (pure SQL propagation) and **native**
+(vectorized batch kernels). After every few steps each
 DAG level is checked against a full recompute of its defining query
 over its upstream's stored table, so an error introduced at level *k*
 is caught at level *k* rather than smeared into the leaf.
@@ -22,21 +21,14 @@ import pytest
 
 from repro import CompilerFlags, Connection, PropagationMode, load_ivm
 
-CHAIN2_STEPS = 18
-CHAIN3_STEPS = 18
-DIAMOND_STEPS = 18
+CHAIN2_STEPS = 36
+CHAIN3_STEPS = 36
+DIAMOND_STEPS = 36
 VERIFY_EVERY = 3
 
 ENGINES = [
     ("sql", dict(batch_kernels=False)),
     ("native", dict(batch_kernels=True)),
-    (
-        "adaptive",
-        dict(batch_kernels=True, adaptive=True, adaptive_epsilon=0.3,
-             adaptive_seed=17),
-    ),
-    ("sharded", dict(batch_kernels=True, shard_count=2,
-                     parallel_refresh=False)),
 ]
 
 GROUPS = "abcdef"

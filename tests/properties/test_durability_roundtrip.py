@@ -13,8 +13,7 @@ Round-trips, under Hypothesis:
   ``GroupExtremaState`` and ``IndexedJoinState`` ``dump()`` images,
   re-``load``-ed, answer identically to the original state (including
   the ``-0.0`` vs ``0`` collapse the memcomparable codec performs, and
-  empty states).  The sharded wrappers, loaded from the same flattened
-  dump, agree with the unsharded answers.
+  empty states).
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ from repro.zset.incremental import (
     GroupExtremaState,
     GroupLivenessState,
     IndexedJoinState,
-    ShardedExtremaState,
-    ShardedJoinState,
-    ShardedLivenessState,
 )
 
 # Values the memcomparable codec accepts.  Doubles are constrained to
@@ -214,12 +210,6 @@ def test_liveness_dump_load(entries):
     assert sorted(reloaded.dump(), key=lambda kv: encode_key(kv[0])) == sorted(
         image, key=lambda kv: encode_key(kv[0])
     )
-    # Sharded wrapper agrees on the same flattened image.
-    sharded = ShardedLivenessState(4)
-    sharded.load(image)
-    assert sorted(sharded.dump(), key=lambda kv: encode_key(kv[0])) == sorted(
-        image, key=lambda kv: encode_key(kv[0])
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,13 +244,6 @@ def test_extrema_dump_load(entries):
             assert reloaded.extremum(key, want_max) == state.extremum(
                 key, want_max
             ), (key, want_max)
-    sharded = ShardedExtremaState(4)
-    sharded.load(image)
-    for key, _, _ in image:
-        for want_max in (False, True):
-            assert sharded.extremum(key, want_max) == state.extremum(
-                key, want_max
-            )
 
 
 def test_extrema_negative_zero_collapses_with_zero():
@@ -303,10 +286,3 @@ def test_join_state_dump_load(left, right):
     reloaded = IndexedJoinState([0], [0])
     reloaded.load_dump(image)
     assert sorted(reloaded.dump(), key=entry_key) == sorted(image, key=entry_key)
-    # The sharded wrapper, loaded from the same flattened image, holds
-    # the same multiset per side.
-    sharded = ShardedJoinState([0], [0], shard_count=4)
-    sharded.load_dump(image)
-    assert sorted(sharded.dump(), key=entry_key) == sorted(
-        reloaded.dump(), key=entry_key
-    )

@@ -14,11 +14,7 @@ from repro.datatypes import INTEGER
 from repro.storage.art import ARTIndex
 from repro.storage.table import Table
 from repro.zset.batch import ZSetBatch
-from repro.zset.incremental import (
-    GroupExtremaState,
-    IndexedJoinState,
-    ShardedJoinState,
-)
+from repro.zset.incremental import GroupExtremaState, IndexedJoinState
 
 ART_METHODS = ("search", "insert", "delete", "items", "first_item", "last_item")
 
@@ -49,20 +45,11 @@ def _batch(rows, weight):
 
 
 def _key_count(state) -> int:
-    sides = (
-        state._lefts + state._rights
-        if isinstance(state, ShardedJoinState)
-        else [state._left, state._right]
-    )
-    return sum(len(side._buckets) for side in sides)
+    return len(state._left._buckets) + len(state._right._buckets)
 
 
-@pytest.mark.parametrize(
-    "state",
-    [IndexedJoinState([0], [0]), ShardedJoinState([0], [0], shard_count=3)],
-    ids=["unsharded", "sharded"],
-)
-def test_retracted_keys_leave_the_join_state(state):
+def test_retracted_keys_leave_the_join_state():
+    state = IndexedJoinState([0], [0])
     rows = [(i, f"r{i}") for i in range(1000)]
     empty = ZSetBatch.empty(2)
     state.apply(_batch(rows, 1), empty)
