@@ -48,8 +48,10 @@ def _key_count(state) -> int:
     return len(state._left._buckets) + len(state._right._buckets)
 
 
-def test_retracted_keys_leave_the_join_state():
-    state = IndexedJoinState([0], [0])
+@pytest.mark.parametrize(
+    "state", [IndexedJoinState([0], [0])], ids=["unsharded"]
+)
+def test_retracted_keys_leave_the_join_state(state):
     rows = [(i, f"r{i}") for i in range(1000)]
     empty = ZSetBatch.empty(2)
     state.apply(_batch(rows, 1), empty)
