@@ -68,8 +68,6 @@ class DeltaBatch:
     table: str
     # Full delta rows: base columns + trailing boolean multiplicity.
     rows: list
-    # How many rows carry FALSE multiplicity (the retraction-rate feed).
-    retractions: int = 0
     enqueued_at: float = 0.0
 
 
@@ -128,7 +126,7 @@ class IngestQueue:
 
     # -- producer side ---------------------------------------------------
 
-    def enqueue(self, table: str, rows, retractions: int = 0) -> None:
+    def enqueue(self, table: str, rows) -> None:
         """Admit one delta batch, applying the backpressure policy.
 
         Raises :class:`~repro.errors.BackpressureError` when the policy
@@ -152,7 +150,7 @@ class IngestQueue:
                         f"{len(rows)} rows for {table!r} shed"
                     )
                 if self.policy == "coalesce":
-                    if self._coalesce_locked(table, rows, retractions):
+                    if self._coalesce_locked(table, rows):
                         return  # admitted via joint compaction
                 if self._rows == 0 and len(rows) > self.capacity:
                     # A single batch larger than the whole queue can
@@ -192,18 +190,13 @@ class IngestQueue:
                     self.drain_callback()
                 finally:
                     self._not_full.acquire()
-            self._admit_locked(table, rows, retractions)
+            self._admit_locked(table, rows)
         if self.wake_callback is not None and self._rows >= self.high_rows:
             self.wake_callback()
 
-    def _admit_locked(self, table: str, rows: list, retractions: int) -> None:
+    def _admit_locked(self, table: str, rows: list) -> None:
         self._batches.append(
-            DeltaBatch(
-                table=table,
-                rows=rows,
-                retractions=int(retractions),
-                enqueued_at=self.clock(),
-            )
+            DeltaBatch(table=table, rows=rows, enqueued_at=self.clock())
         )
         self._rows += len(rows)
         self.counters["enqueued_batches"] += 1
@@ -213,9 +206,7 @@ class IngestQueue:
         if self._rows >= self.high_rows:
             self.counters["high_watermark_hits"] += 1
 
-    def _coalesce_locked(
-        self, table: str, rows: list, retractions: int
-    ) -> bool:
+    def _coalesce_locked(self, table: str, rows: list) -> bool:
         """Compact the queue *jointly with the incoming batch* by
         cancelling opposite-sign rows per table.
 
@@ -229,12 +220,7 @@ class IngestQueue:
         is then admitted.  Otherwise the queue alone is compacted
         in place and False is returned (caller falls back to blocking).
         """
-        incoming = DeltaBatch(
-            table=table,
-            rows=rows,
-            retractions=int(retractions),
-            enqueued_at=self.clock(),
-        )
+        incoming = DeltaBatch(table=table, rows=rows, enqueued_at=self.clock())
         compacted, total = self._merge(list(self._batches) + [incoming])
         admitted = total <= self.capacity
         if admitted:
@@ -274,22 +260,15 @@ class IngestQueue:
         total = 0
         for table in order:
             survivors: list = []
-            retractions = 0
             for row, net in merged[table].values():
                 if net == 0:
                     continue
-                multiplicity = net > 0
-                values = tuple(row[:-1]) + (multiplicity,)
-                if not multiplicity:
-                    retractions += abs(net)
+                values = tuple(row[:-1]) + (net > 0,)
                 survivors.extend([values] * abs(net))
             if survivors:
                 out.append(
                     DeltaBatch(
-                        table=table,
-                        rows=survivors,
-                        retractions=retractions,
-                        enqueued_at=oldest[table],
+                        table=table, rows=survivors, enqueued_at=oldest[table]
                     )
                 )
                 total += len(survivors)

@@ -974,9 +974,8 @@ class IVMExtension:
                 # fault-injected enqueue flags the watching views for
                 # recompute before the error surfaces — shed load costs
                 # refresh work, never correctness.
-                retractions = sum(1 for row in delta_rows if not row[-1])
                 try:
-                    self._queue.enqueue(base_table, delta_rows, retractions)
+                    self._queue.enqueue(base_table, delta_rows)
                 except BackpressureError:
                     self._mark_watchers_recompute(
                         base_table, "shed", "backpressure"

@@ -31,12 +31,12 @@ class TestEnqueueDrain:
     def test_enqueue_then_drain_preserves_order_and_rows(self):
         q = IngestQueue(capacity=100)
         q.enqueue("t", rows(3))
-        q.enqueue("u", rows(2, start=10), retractions=1)
+        q.enqueue("u", rows(2, start=10, sign=False))
         assert q.depth() == 5
         batches = q.drain()
-        assert [(b.table, len(b.rows), b.retractions) for b in batches] == [
-            ("t", 3, 0),
-            ("u", 2, 1),
+        assert [(b.table, b.rows) for b in batches] == [
+            ("t", rows(3)),
+            ("u", rows(2, start=10, sign=False)),
         ]
         assert q.depth() == 0
         # Drain on an empty queue is a no-op, not an error.
@@ -175,14 +175,14 @@ class TestCoalescePolicy:
         q = IngestQueue(capacity=10, policy="coalesce")
         q.enqueue("t", rows(6, sign=True))
         # The retraction of the same 6 rows cancels everything.
-        q.enqueue("t", rows(6, sign=False), retractions=6)
+        q.enqueue("t", rows(6, sign=False))
         assert q.depth() == 0
         assert q.counters["coalesced_rows"] == 12
 
     def test_partial_cancellation_keeps_net_rows(self):
         q = IngestQueue(capacity=10, policy="coalesce")
         q.enqueue("t", rows(8, sign=True))
-        q.enqueue("t", rows(4, sign=False), retractions=4)  # cancels 4 of 8
+        q.enqueue("t", rows(4, sign=False))  # cancels 4 of 8
         assert q.depth() == 4
         batches = q.drain()
         assert len(batches) == 1
@@ -192,7 +192,7 @@ class TestCoalescePolicy:
         q = IngestQueue(capacity=10, policy="coalesce")
         q.enqueue("a", rows(5, sign=True))
         q.enqueue("b", rows(5, start=100, sign=True))
-        q.enqueue("a", rows(5, sign=False), retractions=5)
+        q.enqueue("a", rows(5, sign=False))
         assert q.depth() == 5
         (batch,) = q.drain()
         assert batch.table == "b"

@@ -60,10 +60,10 @@ class TestQueueCapture:
         ext.refresh("q")
         con.execute("DELETE FROM t WHERE v = 1")
         (batch,) = ext.queue.drain()
-        assert batch.retractions == 1
+        # A delete is queued as one row with FALSE multiplicity.
         assert [row[-1] for row in batch.rows] == [False]
         # Re-land what we drained by hand so the view still converges.
-        ext.queue.enqueue(batch.table, batch.rows, batch.retractions)
+        ext.queue.enqueue(batch.table, batch.rows)
         ext.refresh("q")
         assert_view_matches(con, RECOMPUTE, "q")
         assert ext.view_state("q").stats.snapshot()["queue"] is not None

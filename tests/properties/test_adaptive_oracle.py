@@ -68,7 +68,7 @@ def _execute_all(engines, sql, params=None):
 
 
 class _PhasedStream:
-    """Deterministic DML generator with distinct signal regimes."""
+    """Deterministic DML generator with distinct workload phases."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -84,8 +84,8 @@ class _PhasedStream:
             self.statements += 1
 
     def skewed_inserts(self, engines, count: int):
-        # ~85% of rows land on one hot group: the touched-group count
-        # collapses while delta_rows stays high.
+        # ~85% of rows land on one hot group: many deltas per round
+        # fold into a single group's aggregate and liveness entries.
         for _ in range(count):
             hot = self.rng.random() < 0.85
             g = "hot" if hot else f"g{self.rng.randrange(12)}"
@@ -96,7 +96,8 @@ class _PhasedStream:
             self.statements += 1
 
     def retraction_storm(self, engines, count: int):
-        # Deletes dominate: the retraction-rate signal jumps bands.
+        # Deletes dominate: groups shrink to zero rows, so the liveness
+        # state must drop them and the aggregates must retract exactly.
         for _ in range(count):
             if self.rng.random() < 0.7:
                 _execute_all(

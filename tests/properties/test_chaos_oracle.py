@@ -42,13 +42,11 @@ from repro.core.runtime import RUNG_NATIVE, RUNG_SQL
 from repro.errors import ReproError
 from repro.workloads.generators import generate_sales_workload, zipf_group_keys
 
-# SHARDED_STEPS and DAG_SHARD_STEPS keep their names from when campaigns
-# 1 and 5 faulted a sharded refresh; both now fault ``refresh.step``.
-SHARDED_STEPS = 120
+REFRESH_STEP_STEPS = 120
 DURABILITY_STEPS = 60
 QUEUE_STEPS_PER_POLICY = 30
 LADDER_STEPS = 24
-DAG_SHARD_STEPS = 40
+DAG_REFRESH_STEP_STEPS = 40
 DAG_DURABILITY_STEPS = 30
 
 VIEW = (
@@ -144,12 +142,12 @@ def test_refresh_step_chaos_converges():
     picks = iter(
         int(key[1:])
         for key in zipf_group_keys(
-            SHARDED_STEPS * 2, num_groups=40, skew=1.3, seed=94
+            REFRESH_STEP_STEPS * 2, num_groups=40, skew=1.3, seed=94
         )
     )
     live = {row[0]: None for row in workload.orders}
     next_oid = workload.next_order_id()
-    for step in range(1, SHARDED_STEPS + 1):
+    for step in range(1, REFRESH_STEP_STEPS + 1):
         roll = rng.random()
         if roll < 0.6 or not live:
             cust = workload.customers[next(picks)][0]
@@ -476,7 +474,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
     rng = random.Random(57)
     live = {row[0]: None for row in workload.orders}
     next_oid = workload.next_order_id()
-    for step in range(1, DAG_SHARD_STEPS + 1):
+    for step in range(1, DAG_REFRESH_STEP_STEPS + 1):
         if rng.random() < 0.6 or not live:
             cust = workload.customers[rng.randrange(40)][0]
             _execute_chaos(
@@ -603,11 +601,11 @@ def test_chaos_step_budget():
     """The milestone requires 200+ randomized DML steps under fault
     schedules across the campaigns above."""
     total = (
-        SHARDED_STEPS
+        REFRESH_STEP_STEPS
         + DURABILITY_STEPS
         + 3 * QUEUE_STEPS_PER_POLICY
         + LADDER_STEPS
-        + DAG_SHARD_STEPS
+        + DAG_REFRESH_STEP_STEPS
         + DAG_DURABILITY_STEPS
     )
     assert total >= 200

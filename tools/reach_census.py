@@ -7,14 +7,14 @@ function-body lines they span (nested functions counted once), and the
 split per module.
 
     python tools/reach_census.py pytest -x -q        # the tier-1 suite
-    python tools/reach_census.py --bench tiny         # the repo benchmark
+    python tools/reach_census.py --bench              # the repo benchmark
     python tools/reach_census.py examples/quickstart.py
 
 ``pytest ...`` runs pytest in-process; any other command is a Python
-script run as ``__main__``.  ``--bench SCALE`` runs every workload of
+script run as ``__main__``.  ``--bench`` runs every workload of
 ``BENCHMARK.json`` through ``bench/run.py`` in-process, untraced and
-traced, at that scale.  This is a report, not a gate: the exit status
-is 0 unless the census itself cannot run.
+traced, at the tiny scale.  This is a report, not a gate: the exit
+status is 0 unless the census itself cannot run.
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ def _run_scripts(commands: list[list[str]]):
     return run
 
 
-def _bench_commands(scale: str) -> list[list[str]]:
+def _bench_commands() -> list[list[str]]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     script = str(ROOT / "bench" / "run.py")
     return [
         [script, "--workload", workload["name"], "--seed", "1",
-         "--scale", scale, "--trace", str(trace)]
+         "--scale", "tiny", "--trace", str(trace)]
         for workload in spec["workloads"]
         for trace in (0, 1)
     ]
@@ -180,20 +180,17 @@ def census(entered: set) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
-        usage="%(prog)s [options] (--bench SCALE | pytest ARGS... | SCRIPT ARGS...)",
+        usage="%(prog)s [--functions] (--bench | pytest ARGS... | SCRIPT ARGS...)",
     )
-    parser.add_argument("--bench", choices=("tiny", "full"))
-    parser.add_argument("--top", type=int, default=15,
-                        help="modules listed, most unreached lines first")
+    parser.add_argument("--bench", action="store_true",
+                        help="run the repo benchmark at the tiny scale")
     parser.add_argument("--functions", action="store_true",
                         help="also list every never-entered function")
-    parser.add_argument("--json", type=pathlib.Path,
-                        help="write the full census to this file")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     if args.bench:
-        label = f"bench --scale {args.bench}"
-        run = _run_scripts(_bench_commands(args.bench))
+        label = "bench --scale tiny"
+        run = _run_scripts(_bench_commands())
     elif args.command and args.command[0] == "pytest":
         label = " ".join(args.command)
         run = _run_pytest(args.command[1:])
@@ -201,14 +198,10 @@ def main() -> int:
         label = " ".join(args.command)
         run = _run_scripts([args.command])
     else:
-        parser.error("give --bench SCALE, pytest ARGS or a script")
+        parser.error("give --bench, pytest ARGS or a script")
     sys.path.insert(0, str(ROOT / "src"))
     entered, status = _record(run)
     result = census(entered)
-    result["command"] = label
-    result["command_status"] = status
-    if args.json:
-        args.json.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"# reach census: {label} (exit status {status})")
     print(
         f"functions under src/repro: {result['functions']}, never entered: "
@@ -223,7 +216,7 @@ def main() -> int:
         key=lambda item: (-item[1]["unreached_body_lines"], item[0]),
     )
     print(f"\n{'module':40s} unreached / total body lines")
-    for name, module in ranked[: args.top]:
+    for name, module in ranked:
         if not module["unreached_body_lines"]:
             break
         print(
